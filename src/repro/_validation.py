@@ -14,6 +14,7 @@ import numpy as np
 
 __all__ = [
     "as_float_array",
+    "check_finite_points",
     "check_fraction",
     "check_positive",
     "check_non_negative",
@@ -56,6 +57,28 @@ def as_float_array(values, name, *, ndim=None, allow_empty=False):
         )
     if not allow_empty and array.size == 0:
         raise ValueError(f"{name} must not be empty")
+    return array
+
+
+def check_finite_points(points, name):
+    """Validate planar points, one ``(x, y)`` or an ``(n, 2)`` array.
+
+    Returns them as a float ndarray.  A non-finite coordinate raises
+    :class:`ValueError`; for an array the message names the first
+    offending row's index.
+    """
+    array = np.asarray(points, dtype=float)
+    if array.shape[-1:] != (2,) or array.ndim > 2:
+        raise ValueError(
+            f"{name} must be (x, y) or an (n, 2) array, got shape "
+            f"{array.shape}")
+    finite = np.isfinite(array).all(axis=-1)
+    if not finite.all():
+        if array.ndim == 1:
+            raise ValueError(f"{name} must be finite, got {tuple(array)}")
+        index = int(np.argmin(finite))
+        raise ValueError(
+            f"{name} {index} is not finite: {tuple(array[index])}")
     return array
 
 

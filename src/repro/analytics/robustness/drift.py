@@ -22,7 +22,6 @@ churn is visible next to the engine metrics.
 from __future__ import annotations
 
 import numpy as np
-from scipy import stats
 
 from ..._validation import check_positive
 
@@ -55,6 +54,9 @@ class KsDriftDetector:
         recent = np.asarray(recent, dtype=float).ravel()
         if len(recent) < 5:
             raise ValueError("recent needs at least 5 observations")
+        # Deferred: scipy.stats dominates ``import repro`` otherwise.
+        from scipy import stats
+
         statistic = stats.ks_2samp(self.reference, recent)
         return bool(statistic.pvalue < self.p_threshold), float(
             statistic.pvalue)

@@ -24,7 +24,7 @@ import threading
 import networkx as nx
 import numpy as np
 
-from .._validation import ensure_rng
+from .._validation import check_finite_points, ensure_rng
 
 __all__ = ["RoadNetwork"]
 
@@ -75,7 +75,10 @@ class _GeometryIndex:
             np.ceil((hi - lo) / self.cell).astype(int) + 1, 1)
         self.nx_cells, self.ny_cells = int(shape[0]), int(shape[1])
 
-        self._edge_cells = {}
+        # Edges bucketed by the cells their bounding boxes cover, as a
+        # dense ``(nx_cells, ny_cells, width)`` table of edge indices in
+        # ascending order, padded with -1.
+        buckets = {}
         if len(self.edge_list):
             lo_cells = self._cell_of(np.minimum(self.a, self.b))
             hi_cells = self._cell_of(np.maximum(self.a, self.b))
@@ -84,12 +87,25 @@ class _GeometryIndex:
                 x1, y1 = hi_cells[index]
                 for cx in range(x0, x1 + 1):
                     for cy in range(y0, y1 + 1):
-                        self._edge_cells.setdefault((cx, cy),
-                                                    []).append(index)
-        self._edge_cells = {
-            key: np.asarray(indices, dtype=np.intp)
-            for key, indices in self._edge_cells.items()
-        }
+                        buckets.setdefault((cx, cy), []).append(index)
+        width = max(map(len, buckets.values()), default=1)
+        self.cell_edges = np.full((self.nx_cells, self.ny_cells, width),
+                                  -1, dtype=np.intp)
+        for (cx, cy), indices in buckets.items():
+            self.cell_edges[cx, cy, :len(indices)] = indices
+
+        # Per-edge endpoint node indices (rows of ``node_list``, which is
+        # also :meth:`RoadNetwork.node_index` order) and lengths, so the
+        # map matcher never goes back to the graph per candidate.
+        # Lengths are snapshotted per revision, like Dijkstra adjacency.
+        position = {node: i for i, node in enumerate(self.node_list)}
+        self.edge_u = np.asarray([position[u] for u, _ in self.edge_list],
+                                 dtype=np.intp)
+        self.edge_v = np.asarray([position[v] for _, v in self.edge_list],
+                                 dtype=np.intp)
+        self.edge_length = np.asarray(
+            [length for _, _, length in graph.edges(data="length")],
+            dtype=float)
 
         self._node_cells = {}
         if len(self.node_list):
@@ -101,31 +117,41 @@ class _GeometryIndex:
         }
 
     def _cell_of(self, points):
-        """Integer cell coordinates (unclipped) of ``(..., 2)`` points."""
-        return np.floor(
-            (np.asarray(points, dtype=float) - self.origin) / self.cell
-        ).astype(int)
+        """Integer cell coordinates of finite ``(..., 2)`` points.
 
-    def project_many(self, point, indices):
+        Clamped to one cell beyond the grid on each side *before* the int
+        cast, so a far-off point cannot overflow it; every in-grid
+        comparison (``max(cell, 0)``, ``min(cell, n - 1)``) is unchanged.
+        """
+        cells = np.floor(
+            (np.asarray(points, dtype=float) - self.origin) / self.cell)
+        return np.clip(cells, -1, (self.nx_cells, self.ny_cells)) \
+            .astype(int)
+
+    def project_many(self, points, indices):
         """Vectorized point-to-segment projection over edge ``indices``.
 
-        Returns ``(distances, fractions)`` matching
-        :meth:`RoadNetwork.project_point` on each edge.
+        ``points`` is ``(..., 2)`` and ``indices`` ``(..., L)`` with the
+        same leading shape (one point against ``L`` edges, or a row of
+        edges per point).  Returns ``(distances, fractions)`` shaped like
+        ``indices``, matching :meth:`RoadNetwork.project_point` on each
+        edge.
         """
-        px, py = float(point[0]), float(point[1])
+        points = np.asarray(points, dtype=float)[..., None, :]
         a = self.a[indices]
         ab = self.ab[indices]
         norm2 = self.norm2[indices]
-        rel = np.array([px, py]) - a
+        rel = points - a
         with np.errstate(invalid="ignore"):
             fractions = np.where(
                 norm2 > 0,
-                (rel * ab).sum(axis=1) / np.where(norm2 > 0, norm2, 1.0),
+                (rel * ab).sum(axis=-1) / np.where(norm2 > 0, norm2, 1.0),
                 0.0,
             )
         fractions = np.clip(fractions, 0.0, 1.0)
-        closest = a + fractions[:, None] * ab
-        distances = np.hypot(px - closest[:, 0], py - closest[:, 1])
+        closest = a + fractions[..., None] * ab
+        distances = np.hypot(points[..., 0] - closest[..., 0],
+                             points[..., 1] - closest[..., 1])
         return distances, fractions
 
     def edges_near(self, point, radius):
@@ -140,17 +166,79 @@ class _GeometryIndex:
         x0, y0 = max(int(lo[0]), 0), max(int(lo[1]), 0)
         x1 = min(int(hi[0]), self.nx_cells - 1)
         y1 = min(int(hi[1]), self.ny_cells - 1)
-        if x1 < x0 or y1 < y0:
-            return np.empty(0, dtype=np.intp)
-        buckets = [
-            self._edge_cells[(cx, cy)]
-            for cx in range(x0, x1 + 1)
-            for cy in range(y0, y1 + 1)
-            if (cx, cy) in self._edge_cells
+        block = self.cell_edges[x0:x1 + 1, y0:y1 + 1]
+        return np.unique(block[block >= 0])
+
+    #: Max (point, edge) slots gathered at once by
+    #: :meth:`trace_candidates`; bounds its scratch memory when the
+    #: query disk spans many cells.
+    _GATHER_SLOTS = 1 << 18
+
+    def trace_candidates(self, points, radius, limit):
+        """:meth:`RoadNetwork.candidate_edges` for a whole trace at once.
+
+        One cell gather for all ``T`` points, one broadcast projection
+        and one stable sort.  Returns ``(edges, distances, fractions,
+        counts)``: three ``(T, K)`` arrays whose row ``t`` holds, as edge
+        indices, ``candidate_edges(points[t], radius)[:limit]`` with the
+        same float bits and tie order, and ``counts[t]``, the number of
+        real slots in that row (the rest is padding).  Non-finite points
+        raise :class:`ValueError` naming the first one's index.
+        """
+        points = check_finite_points(points, "point").reshape(-1, 2)
+        if not len(self.edge_list):
+            empty = np.zeros((len(points), 0))
+            return (empty.astype(np.intp), empty, empty,
+                    np.zeros(len(points), dtype=np.intp))
+        lo = np.maximum(self._cell_of(points - radius), 0)
+        hi = np.minimum(self._cell_of(points + radius),
+                        (self.nx_cells - 1, self.ny_cells - 1))
+        spans = np.maximum(hi - lo + 1, 0)  # 0: the box misses the grid
+        wx, wy = (int(w) for w in spans.max(axis=0))
+        slots = max(wx * wy * self.cell_edges.shape[2], 1)
+        step = max(self._GATHER_SLOTS // slots, 1)
+        parts = [
+            self._gather(points[start:start + step], lo[start:start + step],
+                         spans[start:start + step], wx, wy, radius, limit)
+            for start in range(0, len(points), step)
         ]
-        if not buckets:
-            return np.empty(0, dtype=np.intp)
-        return np.unique(np.concatenate(buckets))
+        edges, distances, fractions, counts = (
+            np.concatenate(arrays) for arrays in zip(*parts))
+        width = int(counts.max())
+        return (edges[:, :width], distances[:, :width],
+                fractions[:, :width], counts)
+
+    def _gather(self, points, lo, spans, wx, wy, radius, limit):
+        """One chunk of :meth:`trace_candidates`.
+
+        Returns ``min(limit, wx * wy * width)`` columns, the same for
+        every chunk of a trace.
+        """
+        n_edges = len(self.edge_list)
+        dx = np.arange(wx)[:, None]
+        dy = np.arange(wy)[None, :]
+        inside = (dx < spans[:, 0, None, None]) \
+            & (dy < spans[:, 1, None, None])
+        gathered = self.cell_edges[
+            np.where(inside, lo[:, 0, None, None] + dx, 0),
+            np.where(inside, lo[:, 1, None, None] + dy, 0)]
+        gathered = np.where(inside[..., None] & (gathered >= 0), gathered,
+                            n_edges).reshape(len(points), -1)
+        # Ascending edge order with duplicates (edges spanning several
+        # cells) and padding masked out: ``edges_near``'s np.unique.
+        gathered.sort(axis=1)
+        real = gathered < n_edges
+        real[:, 1:] &= gathered[:, 1:] != gathered[:, :-1]
+        edges = np.where(real, gathered, 0)
+        distances, fractions = self.project_many(points, edges)
+        keep = real & (distances <= radius)
+        order = np.argsort(np.where(keep, distances, np.inf), axis=1,
+                           kind="stable")[:, :limit]
+        counts = np.minimum(keep.sum(axis=1), limit)
+        return (np.take_along_axis(edges, order, axis=1),
+                np.take_along_axis(distances, order, axis=1),
+                np.take_along_axis(fractions, order, axis=1),
+                counts)
 
     def _ring_nodes(self, center, ring):
         """Node indices in the cells at Chebyshev distance ``ring``."""
@@ -176,15 +264,21 @@ class _GeometryIndex:
     def nearest_node_index(self, point):
         """Index (into ``node_list``) of the node closest to ``point``.
 
-        Expanding-ring search: cells at Chebyshev ring ``k`` from the
-        query cell contain no point closer than ``(k - 1) * cell``, so
-        the search stops as soon as the best distance found beats that
-        lower bound for every unvisited ring.
+        Expanding-ring search from the query's cell, clamped into the
+        grid: cells at Chebyshev ring ``k`` from it contain no point
+        closer than ``(k - 1) * cell`` (along a clamped axis the query
+        lies beyond the grid edge, which only adds distance), so the
+        search stops as soon as the best distance found beats that lower
+        bound for every unvisited ring.  The rings end at the farthest
+        populated cell, so a query far off the map walks at most the
+        grid, never the empty space between it and the query.
         """
         if not len(self.node_list):
             return None
         px, py = float(point[0]), float(point[1])
-        center = tuple(self._cell_of(np.array([px, py])))
+        center = np.clip(self._cell_of((px, py)), 0,
+                         (self.nx_cells - 1, self.ny_cells - 1))
+        center = (int(center[0]), int(center[1]))
         # Rings needed to cover every populated cell from the center.
         max_ring = max(
             max(abs(cx - center[0]), abs(cy - center[1]))
@@ -519,6 +613,7 @@ class RoadNetwork:
         disk are projected, and the projection runs vectorized over the
         whole candidate set.
         """
+        point = check_finite_points(point, "point")
         geometry = self._geometry()
         indices = geometry.edges_near(point, float(radius))
         if not len(indices):
@@ -546,7 +641,11 @@ class RoadNetwork:
         return candidates
 
     def nearest_node(self, point):
-        """The node closest to planar ``point`` (grid-index backed)."""
+        """The node closest to planar ``point`` (grid-index backed).
+
+        Raises :class:`ValueError` for a non-finite ``point``.
+        """
+        point = check_finite_points(point, "point")
         index = self._geometry().nearest_node_index(point)
         if index is None:
             return None

@@ -18,13 +18,18 @@ Model (exactly the classic formulation):
   (``beta`` = tolerance scale);
 * decoding is exact Viterbi.
 
-The hot path is fully vectorized: emissions and transitions are built
-as numpy matrices per consecutive layer pair and the Viterbi recurrence
-is a broadcast max.  Network distances come from *bounded* Dijkstra
+The hot path works on a whole trace at once.  One trace-level
+candidate search gathers every point's grid cells together and returns
+padded ``(T, K)`` layers with a validity mask; emissions and the
+``(T-1, K, K)`` transition tensor are then one numpy expression each
+(padded slots score ``-inf``), and only the Viterbi recurrence loops
+over the ``T`` points.  Network distances come from *bounded* Dijkstra
 searches (radius ``straight + beta_cutoff * beta`` — farther transitions
 score below ``-beta_cutoff`` log-probability and are treated as
-unreachable) memoized in a bounded LRU cache shared across points and
-across :meth:`HmmMapMatcher.match_many` batches.
+unreachable): one row per distinct ``(exit node, radius)`` in the
+trace, fetched through a bounded LRU cache shared across traces and
+:meth:`HmmMapMatcher.match_many` batches and gathered by fancy
+indexing.
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ from collections import OrderedDict
 
 import numpy as np
 
-from ..._validation import check_positive
+from ..._validation import check_finite_points, check_positive
 from ...datatypes import RoadNetwork, Trajectory
 
 __all__ = ["HmmMapMatcher"]
@@ -236,76 +241,56 @@ class HmmMapMatcher:
             return math.inf
         return remaining + through + f2 * length_b
 
-    def _candidates(self, point):
-        found = self.network.candidate_edges(point, self.candidate_radius)
-        return found[: self.max_candidates]
+    def _transitions(self, geometry, points, edges, fractions, valid):
+        """Log transition probabilities of every step, ``(T-1, K, K)``.
 
-    def _layers(self, trajectory):
-        """Per-point candidate layers, emission arrays, geometry arrays.
-
-        The geometry arrays (one dict per layer: node indices ``u`` /
-        ``v``, exit node objects, fractions, edge lengths) are built
-        once here so every Viterbi step works on prefabricated numpy
-        arrays instead of re-deriving them from the candidate tuples.
+        Entry ``(s, i, j)`` is ``-|route - straight| / beta`` for moving
+        from candidate ``i`` of point ``s`` to candidate ``j`` of point
+        ``s + 1``, ``-inf`` for pairs not connected within the Dijkstra
+        cutoff.  Padded entries are finite or ``-inf`` but never win:
+        padded slots carry ``-inf`` emissions.  Network distances come
+        from one cached row per distinct ``(exit node, cutoff)`` among
+        the real slots, gathered by fancy indexing.
         """
-        if not isinstance(trajectory, Trajectory):
-            raise TypeError("trajectory must be a Trajectory")
-        index_of, _ = self.network.node_index()
-        points = [(p.x, p.y) for p in trajectory]
-        layers = []
-        emissions = []
-        arrays = []
-        for index, point in enumerate(points):
-            candidates = self._candidates(point)
-            if not candidates:
-                raise ValueError(
-                    f"no candidate edge within {self.candidate_radius} of "
-                    f"point {index}; the trajectory is off the map"
-                )
-            layers.append(candidates)
-            distances = np.array([c[2] for c in candidates])
-            emissions.append(-0.5 * (distances / self.sigma) ** 2)
-            lengths = np.array([
-                self.network.edge_length(u, v) for u, v, _, _ in candidates
-            ])
-            arrays.append({
-                "u": np.array([index_of[u] for u, _, _, _ in candidates],
-                              dtype=np.intp),
-                "v": np.array([index_of[v] for _, v, _, _ in candidates],
-                              dtype=np.intp),
-                "exit_nodes": [v for _, v, _, _ in candidates],
-                "frac": np.array([f for _, _, _, f in candidates]),
-                "length": lengths,
-            })
-        return points, layers, emissions, arrays
+        straight = [
+            math.hypot(x1 - x0, y1 - y0)
+            for (x0, y0), (x1, y1) in zip(points, points[1:])
+        ]
+        cutoffs = [self._cutoff_for(step) for step in straight]
+        distinct = list(dict.fromkeys(cutoffs))
+        cutoff_id = np.array([distinct.index(c) for c in cutoffs],
+                             dtype=np.intp)
+        exits = geometry.edge_v[edges[:-1]]
+        entries = geometry.edge_u[edges[1:]]
+        keys = np.where(valid[:-1],
+                        exits * len(distinct) + cutoff_id[:, None], -1)
+        pairs, first, row_of = np.unique(keys.ravel(), return_index=True,
+                                         return_inverse=True)
+        columns, column_of = np.unique(entries.ravel(),
+                                       return_inverse=True)
+        rows = np.full((len(pairs), len(columns)), np.inf)
+        # Fetch in first-use order: LRU recency then follows the trace,
+        # so a trace that continues where this one ends finds its rows.
+        for row in np.argsort(first, kind="stable"):
+            key = pairs[row]
+            if key >= 0:
+                node, cutoff = divmod(int(key), len(distinct))
+                rows[row] = self._distances_from(
+                    geometry.node_list[node], distinct[cutoff])[columns]
+        through = rows[row_of.reshape(exits.shape)[:, :, None],
+                       column_of.reshape(entries.shape)[:, None, :]]
 
-    def _transition_matrix(self, previous, current, straight):
-        """Log transition probabilities as a ``(k_prev, k_cur)`` matrix.
-
-        Entry ``(i, j)`` is ``-|route_ij - straight| / beta`` with
-        ``-inf`` for pairs not connected within the Dijkstra cutoff.
-        ``previous`` / ``current`` are the per-layer geometry dicts from
-        :meth:`_layers`; the whole matrix is one broadcast expression
-        over cached distance rows.
-        """
-        cutoff = self._cutoff_for(straight)
-        remaining = (1.0 - previous["frac"]) * previous["length"]
-        entry_cost = current["frac"] * current["length"]
-        through = np.vstack([
-            self._distances_from(node, cutoff)[current["u"]]
-            for node in previous["exit_nodes"]
-        ])
-        route = remaining[:, None] + through + entry_cost[None, :]
-        same_edge = (
-            (previous["u"][:, None] == current["u"][None, :])
-            & (previous["v"][:, None] == current["v"][None, :])
-            & (current["frac"][None, :] >= previous["frac"][:, None])
-        )
-        if same_edge.any():
-            along = (current["frac"][None, :] - previous["frac"][:, None]) \
-                * previous["length"][:, None]
-            route = np.where(same_edge, along, route)
-        return -np.abs(route - straight) / self.beta
+        lengths = geometry.edge_length[edges]
+        remaining = (1.0 - fractions[:-1]) * lengths[:-1]
+        entry_cost = fractions[1:] * lengths[1:]
+        route = remaining[:, :, None] + through + entry_cost[:, None, :]
+        before, after = fractions[:-1, :, None], fractions[1:, None, :]
+        same_edge = (edges[:-1, :, None] == edges[1:, None, :]) \
+            & (after >= before)
+        route = np.where(same_edge,
+                         (after - before) * lengths[:-1, :, None], route)
+        return -np.abs(route - np.asarray(straight)[:, None, None]) \
+            / self.beta
 
     # -- public API -------------------------------------------------------------
 
@@ -320,26 +305,38 @@ class HmmMapMatcher:
         Raises
         ------
         ValueError
-            If some point has no candidate edge within radius (increase
-            ``candidate_radius``).
+            If some point is not finite, or has no candidate edge within
+            radius (increase ``candidate_radius``), or no candidate
+            sequence is connected.
         """
-        points, layers, emissions, arrays = self._layers(trajectory)
+        if not isinstance(trajectory, Trajectory):
+            raise TypeError("trajectory must be a Trajectory")
+        geometry = self.network._geometry()
+        points = [(p.x, p.y) for p in trajectory]
+        edges, distances, fractions, counts = geometry.trace_candidates(
+            points, self.candidate_radius, self.max_candidates)
+        empty = np.flatnonzero(counts == 0)
+        if len(empty):
+            raise ValueError(
+                f"no candidate edge within {self.candidate_radius} of "
+                f"point {empty[0]}; the trajectory is off the map"
+            )
+        slots = np.arange(edges.shape[1])
+        valid = slots < counts[:, None]
+        # -inf on padded slots keeps them out of every Viterbi max.
+        emissions = np.where(valid, -0.5 * (distances / self.sigma) ** 2,
+                             -np.inf)
+        transitions = self._transitions(geometry, points, edges,
+                                        fractions, valid)
 
         scores = emissions[0]
         backpointers = []
-        for step in range(1, len(layers)):
-            straight = math.hypot(
-                points[step][0] - points[step - 1][0],
-                points[step][1] - points[step - 1][1],
-            )
-            transitions = self._transition_matrix(
-                arrays[step - 1], arrays[step], straight)
-            totals = scores[:, None] + transitions
+        for step in range(1, len(points)):
+            totals = scores[:, None] + transitions[step - 1]
             pointers = np.argmax(totals, axis=0)
-            scores = totals[pointers, np.arange(totals.shape[1])] \
-                + emissions[step]
+            scores = totals[pointers, slots] + emissions[step]
             backpointers.append(pointers)
-            if np.all(np.isneginf(scores)):
+            if scores.max() == -np.inf:
                 raise ValueError(
                     f"no connected matching through point {step}; "
                     "the network may be disconnected along the trace"
@@ -352,7 +349,11 @@ class HmmMapMatcher:
             chosen.append(best)
         chosen.reverse()
         self._publish_cache_metrics()
-        return [layers[i][c] for i, c in enumerate(chosen)]
+        return [
+            (*geometry.edge_list[edges[t, c]],
+             float(distances[t, c]), float(fractions[t, c]))
+            for t, c in enumerate(chosen)
+        ]
 
     def match_many(self, trajectories):
         """Batch-match trajectories, sharing the distance cache.
@@ -368,9 +369,27 @@ class HmmMapMatcher:
         """Pre-vectorization per-pair Viterbi (reference oracle).
 
         Identical model with unbounded Dijkstra searches and pure-Python
-        loops; kept for equivalence tests and the E26 benchmark.
+        loops over per-point :meth:`RoadNetwork.candidate_edges` layers;
+        kept for equivalence tests and the E26 benchmark.
         """
-        points, layers, emissions_arrays, _ = self._layers(trajectory)
+        if not isinstance(trajectory, Trajectory):
+            raise TypeError("trajectory must be a Trajectory")
+        points = [(p.x, p.y) for p in trajectory]
+        check_finite_points(points, "point")
+        layers = []
+        for index, point in enumerate(points):
+            candidates = self.network.candidate_edges(
+                point, self.candidate_radius)[: self.max_candidates]
+            if not candidates:
+                raise ValueError(
+                    f"no candidate edge within {self.candidate_radius} of "
+                    f"point {index}; the trajectory is off the map"
+                )
+            layers.append(candidates)
+        emissions_arrays = [
+            -0.5 * (np.array([c[2] for c in layer]) / self.sigma) ** 2
+            for layer in layers
+        ]
         scores = list(emissions_arrays[0])
         backpointers = []
         for step in range(1, len(layers)):
