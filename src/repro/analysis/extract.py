@@ -34,10 +34,7 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 
-from ..core.stage import ANY
-
 __all__ = [
-    "ANY",
     "UNKNOWN",
     "FunctionEffects",
     "ModuleInfo",
@@ -129,7 +126,7 @@ class StageDecl:
     name: str
     lineno: int
     col: int
-    reads: object  # frozenset | ANY | UNKNOWN
+    reads: object  # frozenset | UNKNOWN | None (side missing)
     writes: object
     on_error: str
     fallback_given: bool
@@ -533,11 +530,14 @@ def function_effects(fn_node):
 # ---------------------------------------------------------------------------
 
 def _parse_contract(node):
-    """Evaluate a reads=/writes= expression to a key set if literal."""
-    if node is None:
-        return ANY
-    if isinstance(node, ast.Constant) and node.value is None:
-        return ANY
+    """Evaluate a reads=/writes= expression to a key set if literal.
+
+    ``None`` marks a missing side (absent or a literal ``None``), which
+    ``Stage()`` rejects at construction.
+    """
+    if node is None or (isinstance(node, ast.Constant)
+                        and node.value is None):
+        return None
     if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
         keys = [_const_str(elt) for elt in node.elts]
         if all(key is not None for key in keys):
@@ -615,18 +615,23 @@ def _stage_from_call(call, attr, functions):
     fn_node = args[1] if len(args) > 1 else None
     keywords = {kw.arg: kw.value for kw in call.keywords
                 if kw.arg is not None}
+    unpacked = len(keywords) < len(call.keywords)  # **mapping
     if fn_node is None:
         fn_node = keywords.get("function")
     if name is None or layer is None:
         return None
     on_error_node = keywords.get("on_error")
     on_error = _const_str(on_error_node) if on_error_node else "fail"
+    # A side absent beside **mapping may come from the mapping.
+    reads, writes = (
+        UNKNOWN if side not in keywords and unpacked
+        else _parse_contract(keywords.get(side))
+        for side in ("reads", "writes"))
     return StageDecl(
         layer=layer, name=name,
         lineno=call.func.lineno,
         col=call.func.col_offset,
-        reads=_parse_contract(keywords.get("reads")),
-        writes=_parse_contract(keywords.get("writes")),
+        reads=reads, writes=writes,
         on_error=on_error or "fail",
         fallback_given="fallback" in keywords,
         effects=(_resolve_function(fn_node, functions)

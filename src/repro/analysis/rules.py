@@ -14,15 +14,16 @@ Three families, all in the same pluggable registry
 
 Every check only reports what the AST can prove; escapes of the view
 or dynamic keys suppress the heuristic rules (dead declarations) but
-never the certain ones.
+never the certain ones.  A contract side that is not a literal key
+set (a name, an expression, or missing) is treated as "may be any
+key": rules that need the key set stand down, and dependency
+resolution orders the stage conservatively.
 """
 
 from __future__ import annotations
 
 import ast
 
-from ..core.dag import resolve_dependencies
-from .extract import ANY, UNKNOWN
 from .findings import ERROR, Finding, WARNING, get_rule, register_rule
 
 __all__ = ["finding_at"]
@@ -56,13 +57,9 @@ def check_syntax(module):
     summary="stage function reads a state key its contract does not "
             "declare")
 def check_undeclared_read(stage, pipeline, module):
-    if stage.reads in (ANY, UNKNOWN):
-        return
-    allowed = set(stage.reads)
-    if isinstance(stage.writes, frozenset):
-        allowed |= stage.writes
-    elif stage.writes is UNKNOWN:
-        return  # cannot tell what the write side additionally allows
+    if not stage.declared:
+        return  # cannot tell what the contract allows
+    allowed = stage.reads | stage.writes
     for fx in stage.effect_sets():
         for key, line in sorted(fx.reads.items()):
             if key not in allowed:
@@ -79,7 +76,7 @@ def check_undeclared_read(stage, pipeline, module):
     summary="stage function writes or deletes a state key its "
             "contract does not declare")
 def check_undeclared_write(stage, pipeline, module):
-    if stage.writes in (ANY, UNKNOWN):
+    if not isinstance(stage.writes, frozenset):
         return
     for fx in stage.effect_sets():
         written = dict(sorted(fx.writes.items()))
@@ -144,7 +141,7 @@ def check_dead_declaration(stage, pipeline, module):
     summary="in-place mutation of a value the contract only declares "
             "as read")
 def check_mutated_read_only(stage, pipeline, module):
-    if stage.writes in (ANY, UNKNOWN):
+    if not isinstance(stage.writes, frozenset):
         return
     for fx in stage.effect_sets():
         for key, (line, what) in sorted(fx.mutations.items()):
@@ -185,20 +182,48 @@ def check_unreachable_fallback(stage, pipeline, module):
             stage=stage.name)
 
 
+@register_rule(
+    "RC013", name="missing-contract", severity=ERROR, scope="stage",
+    summary="stage declares no reads= or writes= contract (Stage() "
+            "raises at construction)")
+def check_missing_contract(stage, pipeline, module):
+    sides = [side for side, keys
+             in (("reads", stage.reads), ("writes", stage.writes))
+             if keys is None]
+    if sides:
+        anchor = _stage_anchor(stage)
+        yield finding_at(
+            module, "RC013", anchor["line"], col=anchor["col"],
+            message=f"stage {stage.name!r} declares no "
+                    f"{'/'.join(sides)} contract (Stage() raises at "
+                    "construction); pass () for an empty side",
+            stage=stage.name)
+
+
 # ---------------------------------------------------------------------------
 # RC01x -- pipeline dataflow hazards
 # ---------------------------------------------------------------------------
 
-class _ContractShim:
-    """Duck-typed stand-in so core dependency resolution applies."""
+def _may_share(a, b):
+    """Whether two contract sides can name a common key.
 
-    __slots__ = ("reads", "writes")
+    A non-literal side may hold any key, so it shares with every
+    non-empty side and with another non-literal one.
+    """
+    if isinstance(a, frozenset) and isinstance(b, frozenset):
+        return not a.isdisjoint(b)
+    if isinstance(a, frozenset):
+        return bool(a)
+    return bool(b) if isinstance(b, frozenset) else True
 
-    def __init__(self, stage):
-        self.reads = (stage.reads if isinstance(stage.reads, frozenset)
-                      else ANY)
-        self.writes = (stage.writes
-                       if isinstance(stage.writes, frozenset) else ANY)
+
+def _dependencies(stages):
+    """The core resolver's read/write edges over parsed contracts."""
+    return [{i for i, earlier in enumerate(stages[:j])
+             if _may_share(earlier.writes, later.reads)
+             or _may_share(earlier.reads, later.writes)
+             or _may_share(earlier.writes, later.writes)}
+            for j, later in enumerate(stages)]
 
 
 def _ancestor_closure(deps):
@@ -227,7 +252,7 @@ def check_concurrent_write_write(pipeline, module):
     stages = pipeline.stages
     if len(stages) < 2:
         return
-    deps = resolve_dependencies([_ContractShim(s) for s in stages])
+    deps = _dependencies(stages)
     ancestors = _ancestor_closure(deps)
     effective = [_effective_writes(s) for s in stages]
     for j, later in enumerate(stages):
@@ -256,10 +281,10 @@ def check_orphan_read(pipeline, module):
     if pipeline.initial_keys is None:
         return  # initial state not statically known
     provided = set(pipeline.initial_keys)
-    provider_wildcard = False
+    provider_unknown = False
     stages = pipeline.stages
     for index, stage in enumerate(stages):
-        if isinstance(stage.reads, frozenset) and not provider_wildcard:
+        if isinstance(stage.reads, frozenset) and not provider_unknown:
             own = (stage.writes
                    if isinstance(stage.writes, frozenset)
                    else frozenset())
@@ -281,29 +306,7 @@ def check_orphan_read(pipeline, module):
         if isinstance(stage.writes, frozenset):
             provided |= stage.writes
         else:
-            provider_wildcard = True
-
-
-@register_rule(
-    "RC013", name="wildcard-stage", severity=WARNING,
-    scope="pipeline",
-    summary="undeclared (ANY) contract silently serializes the DAG")
-def check_wildcard_stage(pipeline, module):
-    stages = pipeline.stages
-    if len(stages) < 2 or not any(s.declared for s in stages):
-        return  # a fully legacy pipeline is sequential on purpose
-    for stage in stages:
-        sides = [side for side, keys
-                 in (("reads", stage.reads), ("writes", stage.writes))
-                 if keys is ANY]
-        if sides:
-            yield finding_at(
-                module, "RC013", stage.lineno, col=stage.col + 1,
-                message=f"stage {stage.name!r} declares no "
-                        f"{'/'.join(sides)} contract: the ANY "
-                        "wildcard conflicts with every other stage "
-                        "and serializes the whole DAG",
-                stage=stage.name)
+            provider_unknown = True
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,6 @@ from .faults import FaultInjector
 from .pipeline import DecisionPipeline
 from .report import RunReport, StageRecord
 from .stage import (
-    ANY,
     ContractViolation,
     RunDeadlineExceeded,
     Stage,
@@ -29,7 +28,6 @@ from .stage import (
 from .streaming import IncrementalSession, Tick
 
 __all__ = [
-    "ANY",
     "CollectingTracer",
     "ContractViolation",
     "DecisionPipeline",

@@ -14,12 +14,10 @@ unchanged, so a rerun against the same :class:`StageCache` replays
 those stages from their stored state deltas and only re-executes the
 cone.
 
-Only stages with *declared* contracts participate — a wildcard stage
-has no enumerable inputs to fingerprint, and anything data-dependent
-on an uncacheable stage is itself uncacheable.  Values that resist
-fingerprinting (unpicklable objects without a stable byte form)
-silently exclude the stage from caching rather than risking a stale
-hit.
+Values that resist fingerprinting (unpicklable objects without a
+stable byte form) silently exclude the stage from caching rather than
+risking a stale hit, and anything data-dependent on an uncacheable
+stage is itself uncacheable.
 
 A stored delta is the stage's full transactional outcome: the values
 it committed *and* the keys it deleted (tombstones), so a cached
@@ -47,7 +45,6 @@ import threading
 import types
 
 from . import dag as _dag
-from .stage import ANY
 
 __all__ = ["StageCache", "Unfingerprintable", "fingerprint", "stage_keys"]
 
@@ -193,9 +190,6 @@ def stage_keys(stages, deps, initial_state):
     data_deps = _dag.data_dependencies(stages, deps)
     keys = []
     for j, stage in enumerate(stages):
-        if stage.reads is ANY or stage.writes is ANY:
-            keys.append(None)
-            continue
         upstream = [keys[i] for i in sorted(data_deps[j])]
         if any(key is None for key in upstream):
             keys.append(None)

@@ -12,14 +12,10 @@ Because edges only ever point backwards in layer-major order, the
 result is a DAG by construction and cross-layer ordering is
 preserved wherever contracts actually interact: a decision stage can
 never observe a governance key before the governance stage that
-produces it has run.  Wildcard (undeclared) contracts conflict with
-everything, so legacy pipelines resolve to a chain — the old
-sequential semantics, unchanged.
+produces it has run.
 """
 
 from __future__ import annotations
-
-from .stage import ANY, contracts_overlap
 
 __all__ = [
     "Frontier",
@@ -41,9 +37,9 @@ def resolve_dependencies(stages):
     for j, later in enumerate(stages):
         for i in range(j):
             earlier = stages[i]
-            if (contracts_overlap(earlier.writes, later.reads)
-                    or contracts_overlap(earlier.reads, later.writes)
-                    or contracts_overlap(earlier.writes, later.writes)):
+            if not (earlier.writes.isdisjoint(later.reads)
+                    and earlier.reads.isdisjoint(later.writes)
+                    and earlier.writes.isdisjoint(later.writes)):
                 deps[j].add(i)
     return deps
 
@@ -61,7 +57,7 @@ def data_dependencies(stages, deps):
     for j, stage in enumerate(stages):
         data_deps.append({
             i for i in deps[j]
-            if contracts_overlap(stages[i].writes, stage.reads)
+            if not stages[i].writes.isdisjoint(stage.reads)
         })
     return data_deps
 
@@ -70,25 +66,20 @@ def external_reads(stages, deps, index):
     """Read keys of stage ``index`` not written by any dependency.
 
     These keys come from the run's initial state; the cache
-    fingerprints their values.  Only meaningful for stages with
-    declared reads.
+    fingerprints their values.
     """
-    stage = stages[index]
-    if stage.reads is ANY:
-        raise ValueError("external_reads requires declared reads")
     provided = set()
     for i in deps[index]:
-        if stages[i].writes is not ANY:
-            provided |= stages[i].writes
-    return frozenset(stage.reads - provided)
+        provided |= stages[i].writes
+    return stages[index].reads - provided
 
 
 def is_chain(deps):
     """Whether the DAG forces strictly sequential execution.
 
-    True when every stage depends on its immediate predecessor —
-    the shape every legacy (wildcard-contract) pipeline resolves to.
-    The scheduler then skips the thread pool entirely.
+    True when every stage depends on its immediate predecessor, as
+    in a linear pipeline where each stage reads what the previous
+    one wrote.  The scheduler then skips the thread pool entirely.
     """
     return all(j - 1 in deps[j] for j in range(1, len(deps)))
 

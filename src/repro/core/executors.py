@@ -30,14 +30,11 @@ travels back to the parent, where it is committed atomically under
 the run lock.  A failed / timed-out / cancelled worker attempt ships
 back a structured error instead and commits nothing.
 
-Not every stage can cross the boundary:
-
-* the stage function must be picklable — module-level ``def``s are,
-  lambdas and locally defined closures are not (the static analyzer
-  flags these at lint time as rule RC022);
-* the contract must be *declared* on both sides, because the declared
-  ``reads``/``writes`` are how the executor knows which state entries
-  to ship.
+Not every stage can cross the boundary: the stage function must be
+picklable — module-level ``def``s are, lambdas and locally defined
+closures are not (the static analyzer flags these at lint time as
+rule RC022).  The declared ``reads``/``writes`` contract is how the
+executor knows which state entries to ship.
 
 Stages that fail this pre-flight run in-process (the parent) by
 default, recorded in the ``engine.executor_local_stages_total``
@@ -593,9 +590,6 @@ class ProcessExecutor(Executor):
 
     def stage_obstacle(self, stage):
         """Why a stage cannot cross the process boundary (or None)."""
-        if not stage.declared:
-            return ("wildcard contract (undeclared reads/writes give "
-                    "the executor no key set to ship)")
         for role, function in (("function", stage.function),
                                ("fallback", stage.fallback)):
             if function is None:
@@ -631,8 +625,7 @@ class ProcessExecutor(Executor):
             if obstacle is None:
                 remote.add(index)
             else:
-                reasons[index] = ("wildcard" if not stage.declared
-                                  else "unpicklable")
+                reasons[index] = "unpicklable"
                 if self.on_unpicklable == "error":
                     raise ExecutorError(
                         f"stage {stages[index].name!r} cannot run "

@@ -8,7 +8,7 @@ makes that flow a first-class, inspectable object — and, since the
 engine refactor, an *executable DAG*:
 
 * stages are named functions attached to one of the four layers,
-  optionally carrying a contract of the state keys they ``reads`` /
+  each carrying a required contract of the state keys it ``reads`` /
   ``writes`` (see :mod:`repro.core.stage`);
 * the dependency resolver (:mod:`repro.core.dag`) turns overlapping
   contracts into edges, and the scheduler
@@ -136,16 +136,14 @@ class DecisionPipeline:
 
     # -- construction -------------------------------------------------------
 
-    def add_stage(self, layer, name, function, *, reads=None,
-                  writes=None, on_error="fail", fallback=None,
+    def add_stage(self, layer, name, function, *, reads, writes,
+                  on_error="fail", fallback=None,
                   retries=0, timeout=None, backoff=0.02,
                   incremental=None):
         """Attach a stage to a layer; returns ``self`` for chaining.
 
-        ``reads`` / ``writes`` declare the stage's contract (iterables
-        of state keys); omitting them keeps the legacy "touches
-        everything" wildcard, which degrades that stage — and
-        everything ordered around it — to sequential execution.
+        ``reads`` / ``writes`` declare the stage's contract: required
+        iterables of state keys, ``()`` for an empty side.
         ``on_error`` ∈ {"fail", "skip", "fallback"} and ``retries``
         set the failure policy; ``fallback`` is the substitute
         callable for ``on_error="fallback"``.  ``timeout`` bounds one
@@ -265,8 +263,8 @@ class DecisionPipeline:
             value to make retry timing reproducible across reruns.
         cache:
             Optional :class:`~repro.core.cache.StageCache`; stages
-            with declared contracts replay from it when their whole
-            upstream cone is unchanged.
+            replay from it when their whole upstream cone is
+            unchanged.
         tracer:
             Optional observer with an ``on_event(event)`` method; see
             :mod:`repro.core.events`.  A tracer that also exposes
@@ -284,8 +282,8 @@ class DecisionPipeline:
             :class:`RunDeadlineExceeded` is raised.
         copy_on_read:
             Hand stages defensive copies of numpy arrays read through
-            keys their contract declares read-only (declared
-            ``writes`` not containing the key), closing the in-place
+            keys their contract declares read-only (``writes`` not
+            containing the key), closing the in-place
             mutation escape hatch at the cost of one copy per such
             key per attempt.  Off by default.
         metrics:

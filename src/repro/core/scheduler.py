@@ -12,9 +12,9 @@ backoff, failure policies, commits, events, cache replay) happens on
 the parent's threads, so traces, metrics and reports are identical
 across backends.
 
-Chain-shaped DAGs — which every legacy wildcard-contract pipeline
-resolves to — are detected and executed inline in the calling
-thread: identical semantics to the old for-loop, zero pool overhead.
+Chain-shaped DAGs — linear pipelines where each stage consumes its
+predecessor's writes — are detected and executed inline in the
+calling thread: zero pool overhead.
 (A non-``concurrent`` backend such as ``SerialExecutor`` forces the
 same deterministic topological-order path for any DAG shape.)
 

@@ -13,9 +13,9 @@ and ``writes``.  Contracts drive everything downstream:
 * the cache (:mod:`repro.core.cache`) keys a stage's result on the
   content of exactly the inputs its contract names.
 
-A stage that declares no contract gets the :data:`ANY` wildcard for
-both sides, which conflicts with everything and therefore degrades to
-the legacy fully-sequential execution order.
+Both sides are required: a stage that touches no state declares
+``reads=()`` / ``writes=()``, and a missing side raises
+:class:`TypeError` at construction.
 
 Execution is *transactional*: the view buffers every write (and
 deletion) of one attempt and commits to shared state atomically only
@@ -37,7 +37,6 @@ import time
 from collections.abc import MutableMapping
 
 __all__ = [
-    "ANY",
     "ContractViolation",
     "RunDeadlineExceeded",
     "Stage",
@@ -46,22 +45,6 @@ __all__ = [
     "StageTimeout",
 ]
 
-
-class _AnyKeys:
-    """Wildcard contract: the stage may touch every state key."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "ANY"
-
-
-ANY = _AnyKeys()
 
 _POLICIES = ("fail", "skip", "fallback")
 
@@ -137,25 +120,14 @@ class RunDeadlineExceeded(RuntimeError):
         self.state = state
 
 
-def _as_contract(keys):
-    """Normalize a declared contract: None -> ANY, iterable -> frozenset."""
-    if keys is None or keys is ANY:
-        return ANY
-    if isinstance(keys, str):
+def _as_contract(keys, side):
+    """Normalize one declared contract side to a frozenset of keys."""
+    if keys is None or isinstance(keys, str):
         raise TypeError(
-            "contract keys must be an iterable of key names, not a "
-            f"bare string: {keys!r}"
+            f"{side} must be an iterable of key names (() for none), "
+            f"not {keys!r}"
         )
     return frozenset(str(key) for key in keys)
-
-
-def contracts_overlap(a, b):
-    """Whether two contract key sets can refer to a common key."""
-    if a is ANY:
-        return True if b is ANY else bool(b)
-    if b is ANY:
-        return bool(a)
-    return not a.isdisjoint(b)
 
 
 class Stage:
@@ -167,8 +139,8 @@ class Stage:
         As in the original pipeline: the Figure-1 layer, a unique
         stage name, and a callable receiving the state mapping.
     reads, writes:
-        Iterables of state keys the stage consumes / produces.
-        ``None`` (the default) means the :data:`ANY` wildcard.
+        Required iterables of state keys the stage consumes /
+        produces; ``()`` declares an empty side.
     on_error:
         ``"fail"`` (default) aborts the run, ``"skip"`` records the
         error and continues, ``"fallback"`` invokes ``fallback``.
@@ -202,7 +174,7 @@ class Stage:
                  "on_error", "fallback", "retries", "timeout",
                  "backoff", "incremental")
 
-    def __init__(self, layer, name, function, *, reads=None, writes=None,
+    def __init__(self, layer, name, function, *, reads, writes,
                  on_error="fail", fallback=None, retries=0,
                  timeout=None, backoff=0.02, incremental=None):
         if not callable(function):
@@ -234,8 +206,8 @@ class Stage:
         self.layer = str(layer)
         self.name = str(name)
         self.function = function
-        self.reads = _as_contract(reads)
-        self.writes = _as_contract(writes)
+        self.reads = _as_contract(reads, "reads")
+        self.writes = _as_contract(writes, "writes")
         self.on_error = on_error
         self.fallback = fallback
         self.retries = retries
@@ -243,36 +215,24 @@ class Stage:
         self.backoff = backoff
         self.incremental = incremental
 
-    @property
-    def declared(self):
-        """Whether both contract sides are explicit (cacheable)."""
-        return self.reads is not ANY and self.writes is not ANY
-
     def describe_contract(self):
         """The contract as plain, JSON-ready data.
 
         The introspection hook tooling builds on (the static analyzer
         in :mod:`repro.analysis` checks the same shape at lint time):
-        ``reads``/``writes`` are sorted key lists, or the string
-        ``"ANY"`` for an undeclared (wildcard) side.
+        ``reads``/``writes`` are sorted key lists.
         """
-        def side(keys):
-            return "ANY" if keys is ANY else sorted(keys)
-
         return {
             "layer": self.layer,
             "name": self.name,
-            "reads": side(self.reads),
-            "writes": side(self.writes),
+            "reads": sorted(self.reads),
+            "writes": sorted(self.writes),
             "on_error": self.on_error,
             "has_fallback": self.fallback is not None,
             "retries": self.retries,
             "timeout": self.timeout,
             "incremental": self.incremental is not None,
         }
-
-    def replace_name_suffix(self):  # pragma: no cover - debug aid
-        return f"{self.layer}/{self.name}"
 
     def __repr__(self):
         return (
@@ -304,8 +264,8 @@ class _ContractView(MutableMapping):
 
     ``copy_on_read=True`` closes the worst of the in-place-mutation
     escape hatch: numpy arrays fetched through a key the contract
-    declares *read-only* (the stage's ``writes`` side is declared and
-    does not include the key) are handed out as defensive copies, so
+    declares *read-only* (the stage's ``writes`` side does not include
+    the key) are handed out as defensive copies, so
     sorting or slicing into a read value can no longer tear shared
     state behind the transaction layer's back.  The copy is made once
     per key per attempt, so repeated reads stay consistent within the
@@ -381,41 +341,28 @@ class _ContractView(MutableMapping):
                 stage=stage_name, side=side)
 
     def _check_read(self, key):
-        reads = self._stage.reads
-        if reads is ANY:
-            return
-        if key in reads or (self._stage.writes is not ANY
-                            and key in self._stage.writes):
+        if self._visible(key):
             return
         self._count_violation(self._stage.name, "read")
         raise ContractViolation(
             f"stage {self._stage.name!r} read undeclared key {key!r} "
-            f"(declared reads: {sorted(reads)})"
+            f"(declared reads: {sorted(self._stage.reads)})"
         )
 
     def _check_write(self, key):
-        writes = self._stage.writes
-        if writes is ANY or key in writes:
+        if key in self._stage.writes:
             return
         self._count_violation(self._stage.name, "write")
         raise ContractViolation(
             f"stage {self._stage.name!r} wrote undeclared key {key!r} "
-            f"(declared writes: {sorted(writes)})"
+            f"(declared writes: {sorted(self._stage.writes)})"
         )
 
     def _visible(self, key):
         """Whether the contract lets the stage see this key at all."""
-        if self._stage.reads is ANY:
-            return True
-        return key in self._stage.reads or (
-            self._stage.writes is not ANY and key in self._stage.writes)
+        return key in self._stage.reads or key in self._stage.writes
 
     # -- MutableMapping interface -------------------------------------------
-
-    def _read_only(self, key):
-        """Whether the contract forbids the stage to write ``key``."""
-        writes = self._stage.writes
-        return writes is not ANY and key not in writes
 
     def __getitem__(self, key):
         self._checkpoint()
@@ -426,7 +373,7 @@ class _ContractView(MutableMapping):
             raise KeyError(key)
         with self._lock:
             value = self._state[key]
-        if self._copy_on_read and self._read_only(key):
+        if self._copy_on_read and key not in self._stage.writes:
             import numpy as np
 
             if isinstance(value, np.ndarray):

@@ -31,9 +31,7 @@ keys pending from failed ticks):
 * a stage with no carried delta (first tick, prior skip/fallback, or
   an uncacheable result) is dirty;
 * a stage whose declared ``reads`` intersect the dirty set is dirty;
-  a wildcard-``reads`` stage is dirty whenever the set is non-empty;
-* a dirty stage adds its declared ``writes`` to the dirty set; a
-  wildcard-``writes`` stage dirties everything after it;
+* a dirty stage adds its declared ``writes`` to the dirty set;
 * a clean stage *removes* the keys its carried delta actually wrote
   or deleted — after replay they match the previous tick exactly, so
   downstream readers are clean again.  Only actual effects are
@@ -71,7 +69,7 @@ import uuid
 from . import dag as _dag
 from .cache import StageCache
 from .events import emit
-from .stage import ANY, RunDeadlineExceeded, Stage, StageFailure
+from .stage import RunDeadlineExceeded, Stage, StageFailure
 
 __all__ = ["IncrementalSession", "Tick"]
 
@@ -184,20 +182,11 @@ class IncrementalSession:
         is a valid topological order of the resolved DAG.
         """
         plan = []
-        all_dirty = bool(full)
         for stage in self._stages:
             entry = self._entries.get(stage.name)
-            if entry is None or all_dirty:
-                is_dirty = True
-            elif stage.reads is ANY:
-                is_dirty = bool(dirty)
-            else:
-                is_dirty = not stage.reads.isdisjoint(dirty)
-            if is_dirty:
-                if stage.writes is ANY:
-                    all_dirty = True
-                else:
-                    dirty |= stage.writes
+            if (entry is None or full
+                    or not stage.reads.isdisjoint(dirty)):
+                dirty |= stage.writes
                 fold = (stage.incremental is not None
                         and entry is not None and not full)
                 plan.append("fold" if fold else "execute")

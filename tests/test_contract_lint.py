@@ -3,7 +3,8 @@
 One fixture module per rule code, positive and negative, plus a
 seeded-everything module asserting every rule reports the correct
 ``file:line`` and code in both text and JSON output, and a self-check
-that the analyzer runs clean over ``src/repro`` and ``examples``.
+that the analyzer runs clean over ``src/repro``, ``examples`` and
+``benchmarks``.
 """
 
 import json
@@ -339,6 +340,25 @@ p.add_analytics("right", right, reads=(), writes=("shared",))
 """
         assert only(analyze_source(src), "RC010") == []
 
+    def test_non_literal_contract_is_ordered_conservatively(self):
+        # The AST cannot read KEYS, so "right" may read what "left"
+        # writes; the resolver must order them, not report a race.
+        src = PRELUDE + """
+KEYS = ("shared",)
+
+def left(state):
+    state["shared"] = [1]
+
+def right(state):
+    state["shared"].append(2)
+    state["right_out"] = 1
+
+p = DecisionPipeline()
+p.add_governance("left", left, reads=(), writes=("shared",))
+p.add_analytics("right", right, reads=KEYS, writes=("right_out",))
+"""
+        assert only(analyze_source(src), "RC010") == []
+
 
 # -- RC011 orphan read -------------------------------------------------------
 
@@ -431,27 +451,37 @@ p.add_data("s", stage, reads=(), writes=("out",),
         assert only(analyze_source(src), "RC012") == []
 
 
-# -- RC013 wildcard stage ----------------------------------------------------
+# -- RC013 missing contract --------------------------------------------------
 
 
 class TestWildcardStage:
+    """RC013: a stage without a reads= or writes= side cannot be built."""
+
     def test_positive(self):
         src = PRELUDE + """
+CONTRACT = {"reads": (), "writes": ("out",)}
+
 def declared(state):
     state["out"] = 1
 
-def legacy(state):
-    state["anything"] = 2
-
 p = DecisionPipeline()
 p.add_data("ok", declared, reads=(), writes=("out",))
-p.add_governance("legacy", legacy)  # MARK
+p.add_data("mapped", declared, **CONTRACT)
+p.add_governance("undeclared", declared)  # MARK-BOTH
+p.add_analytics("writes_only", declared, writes=("out",))  # MARK-W
+p.add_decision("none", declared, reads=None, writes=("out",))  # MARK-N
 """
         findings = only(analyze_source(src), "RC013")
-        assert [f.line for f in findings] == [line_of(src, "# MARK")]
-        assert "serializes" in findings[0].message
+        assert [(f.line, f.stage) for f in findings] == [
+            (line_of(src, "# MARK-BOTH"), "undeclared"),
+            (line_of(src, "# MARK-W"), "writes_only"),
+            (line_of(src, "# MARK-N"), "none")]
+        assert all(f.severity == "error" for f in findings)
+        assert "no reads/writes contract" in findings[0].message
+        assert "no reads contract" in findings[1].message
+        assert "raises at construction" in findings[2].message
 
-    def test_fully_legacy_pipeline_is_intentional(self):
+    def test_fully_undeclared_pipeline_is_flagged(self):
         src = PRELUDE + """
 def a(state):
     state["x"] = 1
@@ -460,10 +490,12 @@ def b(state):
     state["y"] = state["x"]
 
 p = DecisionPipeline()
-p.add_data("a", a)
-p.add_governance("b", b)
+p.add_data("a", a)  # MARK-A
+p.add_governance("b", b)  # MARK-B
 """
-        assert only(analyze_source(src), "RC013") == []
+        findings = only(analyze_source(src), "RC013")
+        assert [f.line for f in findings] == [line_of(src, "# MARK-A"),
+                                              line_of(src, "# MARK-B")]
 
 
 # -- RC020 / RC021 repo-local rules ------------------------------------------
@@ -943,7 +975,8 @@ p.run()
 class TestSelfCheck:
     def test_analyzer_runs_clean_on_the_repo(self):
         findings, n_files = analyze_paths(
-            [REPO / "src" / "repro", REPO / "examples"])
+            [REPO / "src" / "repro", REPO / "examples",
+             REPO / "benchmarks"])
         assert n_files > 80
         assert findings == [], [f.render() for f in findings]
 

@@ -16,29 +16,37 @@ from repro.analytics.forecasting import (
 class TestPipeline:
     def build(self):
         pipeline = DecisionPipeline("test run")
-        pipeline.add_data("load", lambda s: ("loaded", {"rows": 100}))
+        pipeline.add_data("load", lambda s: ("loaded", {"rows": 100}),
+                          reads=(), writes=())
         pipeline.add_governance("impute",
                                 lambda s: s.setdefault("clean", True)
-                                and "imputed")
-        pipeline.add_analytics("forecast", lambda s: "forecasted")
-        pipeline.add_decision("choose", lambda s: "chose option A")
+                                and "imputed", reads=(), writes=("clean",))
+        pipeline.add_analytics("forecast", lambda s: "forecasted",
+                               reads=(), writes=())
+        pipeline.add_decision("choose", lambda s: "chose option A",
+                              reads=(), writes=())
         return pipeline
 
     def test_stages_run_in_layer_order(self):
+        # Every stage rewrites one shared key, so contracts chain them.
         order = []
         pipeline = DecisionPipeline()
-        pipeline.add_decision("d", lambda s: order.append("d") or "d")
-        pipeline.add_data("a", lambda s: order.append("a") or "a")
-        pipeline.add_analytics("c", lambda s: order.append("c") or "c")
-        pipeline.add_governance("b", lambda s: order.append("b") or "b")
+        for add, name in ((pipeline.add_decision, "d"),
+                          (pipeline.add_data, "a"),
+                          (pipeline.add_analytics, "c"),
+                          (pipeline.add_governance, "b")):
+            add(name, lambda s, n=name: order.append(n) or n,
+                reads=(), writes=("turn",))
         pipeline.run()
         assert order == ["a", "b", "c", "d"]
 
     def test_state_threads_through(self):
         pipeline = DecisionPipeline()
-        pipeline.add_data("set", lambda s: s.update(x=1) or "set")
+        pipeline.add_data("set", lambda s: s.update(x=1) or "set",
+                          reads=(), writes=("x",))
         pipeline.add_decision("use",
-                              lambda s: f"x was {s['x']}")
+                              lambda s: f"x was {s['x']}",
+                              reads=("x",), writes=())
         state, report = pipeline.run()
         assert state["x"] == 1
         assert report.stages("decision")[0].summary == "x was 1"
@@ -71,14 +79,16 @@ class TestPipeline:
     def test_invalid_layer_and_function(self):
         pipeline = DecisionPipeline()
         with pytest.raises(ValueError):
-            pipeline.add_stage("magic", "x", lambda s: "x")
+            pipeline.add_stage("magic", "x", lambda s: "x",
+                               reads=(), writes=())
         with pytest.raises(TypeError):
-            pipeline.add_data("x", "not callable")
+            pipeline.add_data("x", "not callable", reads=(), writes=())
 
     def test_initial_state_copied(self):
         initial = {"k": 1}
         pipeline = DecisionPipeline()
-        pipeline.add_data("mutate", lambda s: s.update(k=2) or "done")
+        pipeline.add_data("mutate", lambda s: s.update(k=2) or "done",
+                          reads=(), writes=("k",))
         state, _ = pipeline.run(initial)
         assert state["k"] == 2
         assert initial["k"] == 1

@@ -14,7 +14,6 @@ import time
 import pytest
 
 from repro.core import (
-    ANY,
     CollectingTracer,
     ContractViolation,
     DecisionPipeline,
@@ -35,16 +34,18 @@ from repro.core.stage import Stage
 class TestStageContracts:
     def test_duplicate_stage_name_rejected(self):
         pipeline = DecisionPipeline()
-        pipeline.add_data("load", lambda s: "a")
+        pipeline.add_data("load", lambda s: "a", reads=(), writes=())
         with pytest.raises(ValueError, match="duplicate"):
-            pipeline.add_governance("load", lambda s: "b")
+            pipeline.add_governance("load", lambda s: "b",
+                                    reads=(), writes=())
 
     def test_duplicate_rejected_within_layer(self):
         pipeline = DecisionPipeline()
         pipeline.add_governance("impute", lambda s: "a",
                                 reads=(), writes=("x",))
         with pytest.raises(ValueError, match="duplicate"):
-            pipeline.add_governance("impute", lambda s: "b")
+            pipeline.add_governance("impute", lambda s: "b",
+                                    reads=(), writes=("x",))
 
     def test_undeclared_write_raises(self):
         pipeline = DecisionPipeline()
@@ -85,17 +86,30 @@ class TestStageContracts:
 
     def test_invalid_policy_and_contract_types(self):
         pipeline = DecisionPipeline()
-        with pytest.raises(ValueError):
-            pipeline.add_data("x", lambda s: "x", on_error="explode")
-        with pytest.raises(TypeError):
-            pipeline.add_data("x", lambda s: "x", reads="not-a-set")
-        with pytest.raises(TypeError):
-            pipeline.add_data("x", lambda s: "x", on_error="fallback")
-        with pytest.raises(ValueError):
-            pipeline.add_data("x", lambda s: "x", retries=-1)
-        with pytest.raises(ValueError):
+        no_keys = {"reads": (), "writes": ()}
+        with pytest.raises(ValueError, match="on_error"):
+            pipeline.add_data("x", lambda s: "x", on_error="explode",
+                              **no_keys)
+        with pytest.raises(TypeError, match="not-a-set"):
+            pipeline.add_data("x", lambda s: "x", reads="not-a-set",
+                              writes=())
+        with pytest.raises(TypeError, match="fallback"):
+            pipeline.add_data("x", lambda s: "x", on_error="fallback",
+                              **no_keys)
+        with pytest.raises(ValueError, match="retries"):
+            pipeline.add_data("x", lambda s: "x", retries=-1, **no_keys)
+        with pytest.raises(ValueError, match="fallback"):
             pipeline.add_data("x", lambda s: "x",
-                              fallback=lambda s: "y")
+                              fallback=lambda s: "y", **no_keys)
+        with pytest.raises(TypeError, match="reads"):
+            pipeline.add_data("x", lambda s: "x", writes=())
+        with pytest.raises(TypeError, match="writes"):
+            pipeline.add_data("x", lambda s: "x", reads=())
+        with pytest.raises(TypeError, match="reads"):
+            pipeline.add_data("x", lambda s: "x", reads=None, writes=())
+        with pytest.raises(TypeError, match="reads"):
+            Stage("data", "x", lambda s: "x")
+        assert pipeline.stage_names == []
 
 
 # -- dependency resolution --------------------------------------------------
@@ -103,10 +117,15 @@ class TestStageContracts:
 
 class TestDagResolution:
     def test_wildcard_stages_resolve_to_chain(self):
-        stages = [Stage("data", "a", lambda s: "a"),
-                  Stage("governance", "b", lambda s: "b"),
-                  Stage("decision", "c", lambda s: "c")]
+        # Each stage reads its predecessor's write: a linear chain.
+        stages = [Stage("data", "a", lambda s: "a",
+                        reads=(), writes=("a",)),
+                  Stage("governance", "b", lambda s: "b",
+                        reads=("a",), writes=("b",)),
+                  Stage("decision", "c", lambda s: "c",
+                        reads=("b",), writes=("c",))]
         deps = resolve_dependencies(stages)
+        assert deps == [set(), {0}, {1}]
         assert is_chain(deps)
 
     def test_contract_independence_drops_edges(self):
@@ -219,9 +238,13 @@ class TestScheduler:
                 return name
             return run
 
+        # A declared chain never overlaps.
         pipeline = DecisionPipeline()
+        previous = ()
         for name in ("a", "b", "c"):
-            pipeline.add_governance(name, stage(name))
+            pipeline.add_governance(name, stage(name),
+                                    reads=previous, writes=(name,))
+            previous = (name,)
         pipeline.run()
         assert max(overlaps) == 1
 
@@ -407,15 +430,6 @@ class TestStageCache:
         assert not hits["decide"]
         assert state["d"] == 27
 
-    def test_wildcard_stages_are_not_cached(self):
-        cache = StageCache()
-        pipeline = DecisionPipeline()
-        pipeline.add_data("legacy", lambda s: s.update(x=1) or "x")
-        pipeline.run(cache=cache)
-        assert len(cache) == 0
-        _, report = pipeline.run(cache=cache)
-        assert report.cache_hits == 0
-
     def test_changed_function_misses(self):
         cache = StageCache()
         pipeline = DecisionPipeline()
@@ -435,7 +449,8 @@ class TestStageCache:
 class TestObservability:
     def test_report_exposes_wall_and_total_seconds(self):
         pipeline = DecisionPipeline()
-        pipeline.add_data("nap", lambda s: time.sleep(0.01) or "ok")
+        pipeline.add_data("nap", lambda s: time.sleep(0.01) or "ok",
+                          reads=(), writes=())
         _, report = pipeline.run()
         assert report.wall_seconds >= 0.01
         assert report.total_seconds >= 0.01

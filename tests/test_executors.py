@@ -312,17 +312,6 @@ class TestPreflight:
         finally:
             executor.close()
 
-    def test_wildcard_contract_runs_in_parent(self, process_executor):
-        p = DecisionPipeline("wildcard")
-        p.add_data("legacy", s_ok)  # no declared contract
-        with use_registry() as registry:
-            state, _ = p.run(executor=process_executor)
-        assert state["ok"] is True
-        snap = registry.snapshot()
-        local = snap["engine.executor_local_stages_total"]["series"]
-        assert local == [{"labels": {"reason": "wildcard"},
-                          "value": 1.0}]
-
     def test_invalid_on_unpicklable_rejected(self):
         with pytest.raises(ValueError):
             ProcessExecutor(on_unpicklable="explode")

@@ -271,9 +271,11 @@ class TestEngineFailureTelemetry:
             return run
 
         pipeline = DecisionPipeline()
-        pipeline.add_data("first", stage("a"))
-        pipeline.add_governance("second", stage("b"))
-        pipeline.add_decision("third", stage("c"))
+        pipeline.add_data("first", stage("a"), reads=(), writes=("a",))
+        pipeline.add_governance("second", stage("b"),
+                                reads=("a",), writes=("b",))
+        pipeline.add_decision("third", stage("c"),
+                              reads=("b",), writes=("c",))
         registry = self._run(pipeline, faults,
                              expect=RunDeadlineExceeded, deadline=0.03)
         outcomes = registry.get("engine.stage_outcomes_total")

@@ -160,10 +160,14 @@ class TestFullPipeline:
                 (state["forecast"] > threshold).any())
             return f"alert={state['alert']}"
 
-        pipeline.add_data("load", load)
-        pipeline.add_governance("impute", govern)
-        pipeline.add_analytics("forecast", analyze)
-        pipeline.add_decision("alert", decide)
+        pipeline.add_data("load", load, reads=(), writes=("raw",))
+        pipeline.add_governance("impute", govern,
+                                reads=("raw",), writes=("clean",))
+        pipeline.add_analytics("forecast", analyze,
+                               reads=("clean",), writes=("forecast",))
+        pipeline.add_decision("alert", decide,
+                              reads=("clean", "forecast"),
+                              writes=("alert",))
         state, report = pipeline.run()
 
         assert "alert" in state

@@ -142,17 +142,6 @@ class TestTransactionalCommit:
         state, _ = pipeline.run({"x": 0})
         assert state == {"x": 0, "a": 11}
 
-    def test_wildcard_stage_is_transactional_too(self):
-        def torn(s):
-            s["junk"] = 1
-            raise RuntimeError("legacy stage dies")
-
-        pipeline = DecisionPipeline()
-        pipeline.add_data("legacy", torn, on_error="skip")
-        state, report = pipeline.run({"x": 5})
-        assert state == {"x": 5}
-        assert report.record("legacy").status == "skipped"
-
     def test_delete_of_missing_key_raises_keyerror(self):
         def stage(s):
             del s["nope"]
@@ -479,9 +468,11 @@ class TestBoundedExecution:
             return run
 
         pipeline = DecisionPipeline()
-        pipeline.add_data("first", stage("a"))      # wildcard: chain
-        pipeline.add_governance("second", stage("b"))
-        pipeline.add_decision("third", stage("c"))
+        pipeline.add_data("first", stage("a"), reads=(), writes=("a",))
+        pipeline.add_governance("second", stage("b"),
+                                reads=("a",), writes=("b",))
+        pipeline.add_decision("third", stage("c"),
+                              reads=("b",), writes=("c",))
         with pytest.raises(RunDeadlineExceeded) as excinfo:
             pipeline.run(tracer=faults, deadline=0.03)
         report = excinfo.value.report
