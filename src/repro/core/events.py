@@ -17,8 +17,16 @@ multiple worker threads** and must be thread-safe.  Events for any
 *single* stage arrive in program order (one thread executes a stage
 at a time), but events from different stages interleave arbitrarily.
 Every event carries both a wall-clock ``timestamp`` (``time.time``)
-and a ``monotonic`` stamp (``time.perf_counter``) taken at emission,
-so observers can order and measure without re-reading clocks.
+and a ``monotonic`` stamp (``time.perf_counter``), so observers can
+order and measure without re-reading clocks.
+
+A stage's two engine stamps ride on its events: the start stamp on
+``stage_start``, the terminal stamp on the one event that ends it
+(``stage_end``, ``stage_skip``, a final ``stage_error`` /
+``stage_timeout``, ``stage_cancelled`` or ``cache_hit``).  Only a
+terminal event carries ``seconds`` — terminal minus start, the
+stage's duration everywhere.  Run and tick events bracket run and
+tick durations the same way.
 
 Two tracers ship with the library: :class:`CollectingTracer` buffers
 events for inspection (tests, dashboards; explicitly thread-safe —
@@ -70,8 +78,8 @@ class StageEvent:
     """One engine event: what happened, to which stage, when.
 
     ``timestamp`` is wall-clock (``time.time``) for human display;
-    ``monotonic`` is ``time.perf_counter`` at emission, guaranteed
-    non-decreasing across the process — span durations and ordering
+    ``monotonic`` is a ``time.perf_counter`` reading (at emission, or
+    the engine stamp the event carries) — span durations and ordering
     assertions are built on it.
     """
 
@@ -93,9 +101,9 @@ class StageEvent:
     def to_dict(self):
         """The event as plain JSON-ready data.
 
-        The wire form events travel in when they cross a process
-        boundary (executor workers ship them back as dicts) or land
-        in artifacts; :meth:`from_dict` round-trips it.
+        The wire form events take when they cross a process
+        boundary or land in artifacts; :meth:`from_dict` round-trips
+        it.
         """
         return {"kind": self.kind, "stage": self.stage,
                 "layer": self.layer, "timestamp": self.timestamp,
@@ -197,9 +205,15 @@ class PrintTracer(Tracer):
         print(f"[{event.kind}]{where}{extra}", file=stream)
 
 
-def emit(tracer, kind, stage=None, layer=None, **data):
-    """Deliver an event to the tracer, swallowing observer errors."""
+def emit(tracer, kind, stage=None, layer=None, *, monotonic=None,
+         **data):
+    """Deliver an event to the tracer, swallowing observer errors;
+    ``monotonic`` stamps it with a ``perf_counter`` reading the caller
+    already took."""
     if tracer is None:
         return
     with contextlib.suppress(Exception):
-        tracer.on_event(StageEvent(kind, stage, layer, **data))
+        event = StageEvent(kind, stage, layer, **data)
+        if monotonic is not None:
+            event.monotonic = monotonic
+        tracer.on_event(event)

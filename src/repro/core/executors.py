@@ -44,11 +44,12 @@ stage instead.
 
 Worker-side telemetry is not lost: each attempt runs against a fresh
 worker :class:`~repro.observability.MetricsRegistry` whose snapshot
-(and any worker-emitted events) is shipped back with the result and
-merged into the parent registry, so ``engine.*`` series — contract
-violations included — stay complete, and the parent-side runner still
-emits every lifecycle event, so :class:`~repro.observability.SpanTracer`
-trees are identical across backends.
+is shipped back with the result, with the attempt's worker CPU time,
+and merged into the parent registry, so ``engine.*`` series —
+contract violations included — stay complete.  The parent-side runner
+emits every lifecycle event, so
+:class:`~repro.observability.SpanTracer` trees are identical across
+backends.
 """
 
 from __future__ import annotations
@@ -241,6 +242,7 @@ def _remote_attempt(request):
     """
     from ..observability.metrics import MetricsRegistry, set_registry
 
+    cpu0 = time.thread_time()
     spec = request["spec"]
     segments = []
     state = dict(request["inputs"])
@@ -274,7 +276,7 @@ def _remote_attempt(request):
                       "message": str(exc),
                       "traceback": traceback.format_exc()}
         result["metrics"] = registry.snapshot()
-        result["events"] = []
+        result["cpu"] = time.thread_time() - cpu0
         try:
             return pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
         except Exception as exc:
@@ -286,7 +288,7 @@ def _remote_attempt(request):
                     f"cross the process boundary ({exc}); keys written: "
                     f"{written} -- run this stage on the thread or "
                     "serial backend, or make its outputs picklable"),
-                "metrics": registry.snapshot(), "events": [],
+                "metrics": registry.snapshot(), "cpu": result["cpu"],
             }, protocol=pickle.HIGHEST_PROTOCOL)
     finally:
         set_registry(previous)
@@ -341,6 +343,10 @@ class _Session:
     def run_attempt(self, index, stage, state, lock, control, attempt):
         raise NotImplementedError(
             f"{type(self).__name__} runs every attempt in-process")
+
+    def worker_cpu(self, index):
+        """CPU seconds worker processes spent on the stage this run."""
+        return 0.0
 
     def finish(self):
         pass
@@ -411,6 +417,7 @@ class _ProcessSession(_Session):
         self._pool = ThreadPoolExecutor(max_workers=workers)
         self._arena = _ShmArena()
         self._metrics = metrics
+        self._worker_cpu = {}
         self.remote_stages, self.local_reasons = executor.preflight(stages)
         if metrics is not None:
             counter = metrics.counter(
@@ -452,9 +459,10 @@ class _ProcessSession(_Session):
 
     def run_attempt(self, index, stage, state, lock, control, attempt):
         """Ship one attempt to a worker; returns
-        ``(outcome, delta, deleted, events)`` or raises the
-        reconstructed stage exception.  Worker metrics are merged into
-        the parent registry before either outcome."""
+        ``(outcome, delta, deleted)`` or raises the reconstructed stage
+        exception.  Worker metrics are merged into the parent registry,
+        and the worker's CPU time added to the stage's, before either
+        outcome."""
         inputs, shared = self._gather_inputs(stage, state, lock)
         request = {
             "spec": StageSpec(stage.name, stage.reads, stage.writes,
@@ -470,11 +478,13 @@ class _ProcessSession(_Session):
         future = self._executor.dispatch(request)
         payload = self._await(future, stage, control)
         result = pickle.loads(payload)
+        # One stage's attempts run on one thread: no key is shared.
+        self._worker_cpu[index] = (self._worker_cpu.get(index, 0.0)
+                                   + result["cpu"])
         if self._metrics is not None and result.get("metrics"):
             self._metrics.merge_snapshot(result["metrics"])
         if result["ok"]:
-            return (result["outcome"], result["delta"],
-                    result["deleted"], result.get("events", ()))
+            return result["outcome"], result["delta"], result["deleted"]
         kind = result["kind"]
         if kind == "timeout":
             raise StageTimeout(stage.name, stage.timeout or 0.0)
@@ -487,6 +497,9 @@ class _ProcessSession(_Session):
             raise ExecutorError(result["message"])
         raise RemoteStageError(result["type"], result["message"],
                                result.get("traceback"))
+
+    def worker_cpu(self, index):
+        return self._worker_cpu.get(index, 0.0)
 
     def _await(self, future, stage, control):
         """Result bytes, polling so a cancelled run can abandon the

@@ -37,6 +37,7 @@ sequentially in layer order.
 
 from __future__ import annotations
 
+import time
 import uuid
 
 from . import dag as _dag
@@ -61,8 +62,9 @@ def _execute_run(title, stages, deps, state, *, cache=None,
     through here, so events, metrics, profiles and reports are
     identical whether a DAG executes from scratch or as one tick of a
     stream.  ``state`` is mutated in place; ``run_data`` adds extra
-    fields (e.g. the tick number) onto the ``run_start`` event.
-    Returns the finished :class:`RunReport`.
+    fields (e.g. the tick number) onto the ``run_start`` event.  The
+    report's ``wall_seconds`` is the ``run_end`` stamp minus the
+    ``run_start`` stamp.  Returns the finished :class:`RunReport`.
     """
     from ..observability.metrics import get_registry
     from ..observability.profiling import RunProfiler
@@ -79,8 +81,9 @@ def _execute_run(title, stages, deps, state, *, cache=None,
     report.set_deadline(deadline)
     metrics = metrics if metrics is not None else get_registry()
     profiler = RunProfiler().start() if profile else None
-    emit(tracer, "run_start", stages=len(stages), run_id=run_id,
-         executor=executor.kind, **dict(run_data or {}))
+    started = time.perf_counter()
+    emit(tracer, "run_start", monotonic=started, stages=len(stages),
+         run_id=run_id, executor=executor.kind, **dict(run_data or {}))
     scheduler = DagScheduler(max_workers=max_workers)
     run_status = "ok"
     try:
@@ -104,7 +107,8 @@ def _execute_run(title, stages, deps, state, *, cache=None,
         if profiler is not None:
             profiler.stop()
             report.set_profiles(profiler.profiles())
-        report.finish()
+        ended = time.perf_counter()
+        report.wall_seconds = ended - started
         metrics.counter(
             "engine.runs_total",
             "Pipeline runs by terminal status").inc(
@@ -113,7 +117,7 @@ def _execute_run(title, stages, deps, state, *, cache=None,
             "engine.run_duration_seconds",
             "Wall-clock duration of whole pipeline runs").observe(
                 report.wall_seconds)
-        emit(tracer, "run_end",
+        emit(tracer, "run_end", monotonic=ended,
              wall_seconds=report.wall_seconds,
              cache_hits=report.cache_hits)
     return report

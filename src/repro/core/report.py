@@ -11,11 +11,14 @@ timings that characterize a scheduled run:
 * ``wall_seconds`` — observed wall-clock time of the whole run,
 * ``critical_path_seconds`` — the DAG's longest duration-weighted
   path, the lower bound with unlimited parallelism.
+
+The report has no clock: a record's ``duration_seconds`` is the
+scheduler's start→terminal interval for the stage (all attempts,
+backoff and fallback), and the engine sets ``wall_seconds`` from the
+``run_start`` and ``run_end`` stamps.
 """
 
 from __future__ import annotations
-
-import time
 
 from .dag import critical_path_seconds as _critical_path
 
@@ -69,8 +72,7 @@ class RunReport:
         self.deadline_seconds = None
         self.profiles = {}
         self.run_id = None
-        self._started = time.perf_counter()
-        self._finished = None
+        self.wall_seconds = 0.0  # set by the engine at run end
 
     def add(self, layer, name, summary, duration_seconds, *,
             status="ok", retries=0, cache_hit=False, error=None,
@@ -115,15 +117,10 @@ class RunReport:
 
     @property
     def deadline_remaining_seconds(self):
-        """Budget left at ``finish()`` time (``None`` without deadline)."""
+        """Budget left when the run ended (``None`` without deadline)."""
         if self.deadline_seconds is None:
             return None
         return self.deadline_seconds - self.wall_seconds
-
-    def finish(self):
-        """Freeze the wall clock; called by the engine at run end."""
-        self._finished = time.perf_counter()
-        return self
 
     def stages(self, layer=None):
         """Records, optionally filtered to one layer."""
@@ -154,14 +151,6 @@ class RunReport:
     def total_seconds(self):
         """Summed stage durations — what a sequential run would cost."""
         return sum(r.duration_seconds for r in self.records)
-
-    @property
-    def wall_seconds(self):
-        """Observed wall-clock time from construction to ``finish()``."""
-        end = self._finished
-        if end is None:
-            end = time.perf_counter()
-        return end - self._started
 
     @property
     def critical_path_seconds(self):

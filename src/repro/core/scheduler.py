@@ -63,7 +63,7 @@ slow, flaky or hung stages.
 
 from __future__ import annotations
 
-import contextlib
+import collections
 import threading
 import time
 from concurrent.futures import FIRST_COMPLETED, wait
@@ -71,7 +71,7 @@ from concurrent.futures import FIRST_COMPLETED, wait
 from . import cache as _cache
 from . import dag as _dag
 from . import executors as _executors
-from .events import StageEvent, emit
+from .events import emit
 from .faults import attempt_jitter
 from .stage import (
     ContractViolation,
@@ -239,14 +239,24 @@ class DagScheduler:
             run.record_cancelled(stages[j], "run aborted")
 
 
+#: One execution of one stage: its start stamp (``None`` for a stage
+#: cancelled before it started, whose duration is zero) and profile.
+_StageRun = collections.namedtuple("_StageRun", "stage index start token",
+                                   defaults=(None, None, None))
+
+
 class _StageRunner:
     """Executes one stage: cache lookup, retries, failure policy.
 
-    Also the engine's telemetry source: every attempt, retry, outcome
-    and duration is published into the run's
-    :class:`~repro.observability.MetricsRegistry` (when given), and a
-    :class:`~repro.observability.RunProfiler` (when given) brackets
-    each stage with wall/CPU/memory baselines in the worker thread.
+    Also the engine's one stage clock: a start stamp when a worker
+    picks the stage up (the ``stage_start`` stamp) and a terminal
+    stamp in :meth:`_finish`.  Their difference is the stage's only
+    duration — report record, terminal event, span,
+    ``engine.stage_duration_seconds`` and profile all carry it.
+    Attempts, retries and outcomes are counted into the run's
+    :class:`~repro.observability.MetricsRegistry` (when given); a
+    :class:`~repro.observability.RunProfiler` (when given) adds CPU
+    and memory deltas.
     """
 
     def __init__(self, stages, state, report, lock, cache, keys,
@@ -292,31 +302,16 @@ class _StageRunner:
             self._m_outcomes = self._m_replays = None
             self._m_duration = self._m_queue_wait = None
 
-    # -- telemetry helpers ---------------------------------------------------
-
     def mark_ready(self, index):
         """Called by the scheduler when a stage's deps are satisfied."""
         with self._lock:
             self._ready[index] = time.perf_counter()
 
-    def _take_queue_wait(self, index):
-        with self._lock:
-            ready_at = self._ready.pop(index, None)
-        if ready_at is None:
-            return 0.0
-        return max(0.0, time.perf_counter() - ready_at)
-
-    def _count_outcome(self, stage, status):
-        if self._m_outcomes is not None:
-            self._m_outcomes.inc(stage=stage.name, status=status)
-
-    def _observe_duration(self, stage, seconds):
-        if self._m_duration is not None:
-            self._m_duration.observe(seconds, stage=stage.name)
-
     def __call__(self, index):
         stage = self._stages[index]
-        queue_wait = self._take_queue_wait(index)
+        start = time.perf_counter()
+        with self._lock:
+            ready = self._ready.pop(index, start)
         try:
             self._control.checkpoint(stage.name)
         except StageCancelled:
@@ -327,22 +322,18 @@ class _StageRunner:
                     f"run deadline expired before stage {stage.name!r}",
                     report=self.report, state=self.state)
             return
+        queue_wait = start - ready
         if self._m_queue_wait is not None:
             self._m_queue_wait.observe(queue_wait, stage=stage.name)
         token = (self._profiler.stage_begin(stage.name, stage.layer,
                                             queue_wait,
                                             serial=self.serial)
                  if self._profiler is not None else None)
-        try:
-            self._run_stage(index, stage)
-        finally:
-            if self._profiler is not None:
-                self._profiler.stage_end(token)
-
-    def _run_stage(self, index, stage):
-        if self._replay_from_cache(index, stage):
+        run = _StageRun(stage, index, start, token)
+        if self._replay_from_cache(run):
             return
-        emit(self._tracer, "stage_start", stage.name, stage.layer)
+        emit(self._tracer, "stage_start", stage.name, stage.layer,
+             monotonic=start)
         attempts = 0
         while True:
             emit(self._tracer, "stage_attempt", stage.name,
@@ -357,7 +348,7 @@ class _StageRunner:
             except ContractViolation:
                 raise  # programming error: never retried or absorbed
             except StageCancelled:
-                self._record_run_cancelled(stage, view, attempts)
+                self._record_run_cancelled(run, attempts)
                 return
             except Exception as exc:
                 if attempts < stage.retries:
@@ -368,9 +359,9 @@ class _StageRunner:
                         self._m_retries.inc(stage=stage.name)
                     self._backoff(stage, attempts)
                     continue
-                self._apply_policy(stage, exc, view.elapsed(), attempts)
+                self._apply_policy(run, exc, attempts)
                 return
-            self._record_success(index, stage, outcome, view, attempts)
+            self._record_success(run, outcome, view, attempts)
             return
 
     def _attempt(self, index, stage, view, attempt):
@@ -391,13 +382,9 @@ class _StageRunner:
         returned delta into this attempt's transactional buffers, so
         commit, rollback, retries and cache storage behave exactly as
         for an in-process attempt."""
-        outcome, delta, deleted, events = self._session.run_attempt(
+        outcome, delta, deleted = self._session.run_attempt(
             index, stage, self.state, self._lock, self._control,
             attempt)
-        for payload in events:
-            if self._tracer is not None:
-                with contextlib.suppress(Exception):
-                    self._tracer.on_event(StageEvent.from_dict(payload))
         for key, value in delta.items():
             view._writes[key] = value
             view._deleted.discard(key)
@@ -431,106 +418,95 @@ class _StageRunner:
 
     # -- outcomes ------------------------------------------------------------
 
-    def record_cancelled(self, stage, why):
-        emit(self._tracer, "stage_cancelled", stage.name, stage.layer,
-             reason=why)
-        self._count_outcome(stage, "cancelled")
+    def _finish(self, run, kind, status, summary, *, event=(),
+                details=(), **record):
+        """Take the terminal stamp and publish the stage's duration:
+        terminal event, outcome count, histogram (cancelled stages
+        excepted), report record and profile."""
+        stage = run.stage
+        end = time.perf_counter()
+        seconds = 0.0 if run.start is None else end - run.start
+        emit(self._tracer, kind, stage.name, stage.layer,
+             monotonic=end, seconds=seconds, **dict(event))
+        if self._m_outcomes is not None:
+            self._m_outcomes.inc(stage=stage.name, status=status)
+        if self._m_duration is not None and status != "cancelled":
+            self._m_duration.observe(seconds, stage=stage.name)
         with self._lock:
-            self.report.add(stage.layer, stage.name,
-                             f"cancelled: {why}", 0.0,
-                             status="cancelled", error=str(why))
+            self.report.add(stage.layer, stage.name, summary, seconds,
+                            status=status, **record, **dict(details))
+        if run.token is not None:
+            self._profiler.stage_end(
+                run.token, seconds, self._session.worker_cpu(run.index))
 
-    def _record_run_cancelled(self, stage, view, attempts):
+    def record_cancelled(self, stage, why):
+        """Record a stage the abort kept from starting (zero duration)."""
+        self._finish(_StageRun(stage), "stage_cancelled", "cancelled",
+                     f"cancelled: {why}", event={"reason": why},
+                     error=str(why))
+
+    def _record_run_cancelled(self, run, attempts):
         reason = self._control.reason or "cancelled"
-        emit(self._tracer, "stage_cancelled", stage.name, stage.layer,
-             reason=reason)
-        self._count_outcome(stage, "cancelled")
-        with self._lock:
-            self.report.add(stage.layer, stage.name,
-                             f"cancelled: {reason}", view.elapsed(),
-                             status="cancelled", retries=attempts,
-                             error=reason)
-        if self._control.reason == "run deadline exceeded":
+        self._finish(run, "stage_cancelled", "cancelled",
+                     f"cancelled: {reason}", event={"reason": reason},
+                     retries=attempts, error=reason)
+        if reason == "run deadline exceeded":
             raise RunDeadlineExceeded(
-                f"run deadline expired during stage {stage.name!r}",
+                f"run deadline expired during stage {run.stage.name!r}",
                 report=self.report, state=self.state)
 
-    def _replay_from_cache(self, index, stage):
-        key = self._keys[index]
+    def _replay_from_cache(self, run):
+        key = self._keys[run.index]
         if self._cache is None or key is None:
             return False
         entry = self._cache.get(key)
         if entry is None:
             return False
-        started = time.perf_counter()
         delta, deleted = entry.snapshot()
         with self._lock:
             self.state.update(delta)
             for k in deleted:
                 self.state.pop(k, None)
-        elapsed = time.perf_counter() - started
-        emit(self._tracer, "cache_hit", stage.name, stage.layer)
         if self._m_replays is not None:
-            self._m_replays.inc(stage=stage.name)
-        self._count_outcome(stage, "ok")
-        self._observe_duration(stage, elapsed)
-        with self._lock:
-            self.report.add(stage.layer, stage.name, entry.summary,
-                             elapsed, cache_hit=True, **entry.details)
+            self._m_replays.inc(stage=run.stage.name)
+        self._finish(run, "cache_hit", "ok", entry.summary,
+                     details=entry.details, cache_hit=True)
         return True
 
-    def _record_success(self, index, stage, outcome, view, attempts):
-        if isinstance(outcome, tuple):
-            summary, details = outcome
-        else:
-            summary, details = outcome, {}
-        elapsed = view.elapsed()
+    def _record_success(self, run, outcome, view, attempts):
+        summary, details = _split_outcome(outcome)
         delta, deleted = view.commit()
-        key = self._keys[index]
+        key = self._keys[run.index]
         if self._cache is not None and key is not None:
             self._cache.store(key, summary, details, delta, deleted)
-        emit(self._tracer, "stage_end", stage.name, stage.layer,
-             seconds=elapsed)
-        self._count_outcome(stage, "ok")
-        self._observe_duration(stage, elapsed)
-        with self._lock:
-            self.report.add(stage.layer, stage.name, summary, elapsed,
-                             retries=attempts, **dict(details))
+        self._finish(run, "stage_end", "ok", summary, details=details,
+                     retries=attempts)
 
-    def _apply_policy(self, stage, exc, elapsed, attempts):
+    def _apply_policy(self, run, exc, attempts):
+        stage = run.stage
         timed_out = isinstance(exc, StageTimeout)
         kind = "stage_timeout" if timed_out else "stage_error"
-        emit(self._tracer, kind, stage.name, stage.layer,
-             error=str(exc), retries=attempts)
+        error = {"error": str(exc), "retries": attempts}
+        if stage.on_error == "fail":
+            status = "timed_out" if timed_out else "failed"
+            label = status.replace("_", " ")
+            self._finish(run, kind, status, f"{label}: {exc}",
+                         event=error, retries=attempts, error=str(exc))
+            raise StageFailure(
+                stage.name,
+                f"stage {stage.name!r} {label} after "
+                f"{attempts + 1} attempt(s): {exc}",
+                report=self.report, state=self.state,
+            ) from exc
+        emit(self._tracer, kind, stage.name, stage.layer, **error)
         if stage.on_error == "skip":
-            emit(self._tracer, "stage_skip", stage.name, stage.layer)
-            self._count_outcome(stage, "skipped")
-            self._observe_duration(stage, elapsed)
-            with self._lock:
-                self.report.add(stage.layer, stage.name,
-                                 f"skipped: {exc}", elapsed,
-                                 status="skipped", retries=attempts,
-                                 error=str(exc))
+            self._finish(run, "stage_skip", "skipped", f"skipped: {exc}",
+                         retries=attempts, error=str(exc))
             return
-        if stage.on_error == "fallback":
-            self._run_fallback(stage, exc, elapsed, attempts)
-            return
-        status = "timed_out" if timed_out else "failed"
-        self._count_outcome(stage, status)
-        self._observe_duration(stage, elapsed)
-        with self._lock:
-            self.report.add(stage.layer, stage.name,
-                             f"{status.replace('_', ' ')}: {exc}",
-                             elapsed, status=status, retries=attempts,
-                             error=str(exc))
-        raise StageFailure(
-            stage.name,
-            f"stage {stage.name!r} {status.replace('_', ' ')} after "
-            f"{attempts + 1} attempt(s): {exc}",
-            report=self.report, state=self.state,
-        ) from exc
+        self._run_fallback(run, exc, attempts)
 
-    def _run_fallback(self, stage, exc, elapsed, attempts):
+    def _run_fallback(self, run, exc, attempts):
+        stage = run.stage
         emit(self._tracer, "stage_fallback", stage.name, stage.layer)
         view = _ContractView(self.state, stage, self._lock,
                              self._control,
@@ -540,36 +516,28 @@ class _StageRunner:
         except ContractViolation:
             raise
         except StageCancelled:
-            self._record_run_cancelled(stage, view, attempts)
+            self._record_run_cancelled(run, attempts)
             return
         except Exception as fallback_exc:
-            total = elapsed + view.elapsed()
-            emit(self._tracer, "stage_error", stage.name, stage.layer,
-                 error=str(fallback_exc), retries=attempts,
-                 fallback=True)
-            self._count_outcome(stage, "failed")
-            self._observe_duration(stage, total)
-            with self._lock:
-                self.report.add(stage.layer, stage.name,
-                                 f"failed: {fallback_exc}", total,
-                                 status="failed", retries=attempts,
-                                 error=str(fallback_exc))
+            self._finish(run, "stage_error", "failed",
+                         f"failed: {fallback_exc}",
+                         event={"error": str(fallback_exc),
+                                "retries": attempts, "fallback": True},
+                         retries=attempts, error=str(fallback_exc))
             raise StageFailure(
                 stage.name,
                 f"stage {stage.name!r} fallback failed: {fallback_exc}",
                 report=self.report, state=self.state,
             ) from fallback_exc
-        total = elapsed + view.elapsed()
         view.commit()
-        if isinstance(outcome, tuple):
-            summary, details = outcome
-        else:
-            summary, details = outcome, {}
-        emit(self._tracer, "stage_end", stage.name, stage.layer,
-             seconds=total, status="fallback")
-        self._count_outcome(stage, "fallback")
-        self._observe_duration(stage, total)
-        with self._lock:
-            self.report.add(stage.layer, stage.name, summary, total,
-                             status="fallback", retries=attempts,
-                             error=str(exc), **dict(details))
+        summary, details = _split_outcome(outcome)
+        self._finish(run, "stage_end", "fallback", summary,
+                     event={"status": "fallback"}, details=details,
+                     retries=attempts, error=str(exc))
+
+
+def _split_outcome(outcome):
+    """A stage's return value as ``(summary, details)``."""
+    if isinstance(outcome, tuple):
+        return outcome
+    return outcome, {}

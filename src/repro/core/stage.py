@@ -274,8 +274,8 @@ class _ContractView(MutableMapping):
     """
 
     __slots__ = ("_state", "_stage", "_lock", "_control", "_writes",
-                 "_deleted", "_started", "_timeout_at", "written",
-                 "_copy_on_read", "_copies")
+                 "_deleted", "_timeout_at", "written", "_copy_on_read",
+                 "_copies")
 
     def __init__(self, state, stage, lock, control=None, *,
                  copy_on_read=False):
@@ -285,9 +285,8 @@ class _ContractView(MutableMapping):
         self._control = control
         self._writes = {}
         self._deleted = set()
-        self._started = time.perf_counter()
         self._timeout_at = (None if stage.timeout is None
-                            else self._started + stage.timeout)
+                            else time.perf_counter() + stage.timeout)
         self.written = set()
         self._copy_on_read = bool(copy_on_read)
         self._copies = {}
@@ -301,10 +300,6 @@ class _ContractView(MutableMapping):
         if (self._timeout_at is not None
                 and time.perf_counter() > self._timeout_at):
             raise StageTimeout(self._stage.name, self._stage.timeout)
-
-    def elapsed(self):
-        """Seconds since this attempt's view was created."""
-        return time.perf_counter() - self._started
 
     def timed_out(self):
         """Whether the attempt has outlived its timeout budget."""

@@ -64,6 +64,7 @@ from __future__ import annotations
 
 import collections
 import threading
+import time
 import uuid
 
 from . import dag as _dag
@@ -279,9 +280,11 @@ class IncrementalSession:
         # 3. Execute through the shared engine core.
         metrics = (self._metrics if self._metrics is not None
                    else get_registry())
-        emit(self._tracer, "tick_start", tick=number, run_id=run_id,
-             changed=len(changed), deleted=len(deleted),
-             dirty=executed, saved=saved, full=full)
+        started = time.perf_counter()
+        emit(self._tracer, "tick_start", monotonic=started,
+             tick=number, run_id=run_id, changed=len(changed),
+             deleted=len(deleted), dirty=executed, saved=saved,
+             full=full)
         state = dict(self._initial)
         status = "ok"
         try:
@@ -318,15 +321,17 @@ class IncrementalSession:
                 counter.inc(folded, disposition="incremental")
             if executed - folded:
                 counter.inc(executed - folded, disposition="executed")
-            emit(self._tracer, "tick_end", tick=number, run_id=run_id,
-                 status=status, dirty=executed, saved=saved)
+            ended = time.perf_counter()
+            emit(self._tracer, "tick_end", monotonic=ended, tick=number,
+                 run_id=run_id, status=status, dirty=executed,
+                 saved=saved)
 
         # 4. Harvest the committed deltas for the next tick.  A stage
         # with no entry (skipped, fallback, uncacheable) stays dirty.
         metrics.histogram(
             "engine.tick_duration_seconds",
             "Wall-clock duration of incremental ticks").observe(
-                report.wall_seconds)
+                ended - started)
         self._entries = {
             stage.name: entry
             for stage, key in zip(self._stages, keys)

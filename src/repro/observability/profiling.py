@@ -3,23 +3,27 @@
 ``DecisionPipeline.run(profile=True)`` attaches a :class:`RunProfiler`
 to the scheduler; for every stage it records
 
-* ``wall_seconds`` — the stage's wall clock across all attempts,
+* ``wall_seconds`` — the scheduler's start→terminal interval, the
+  same float as the report record, histogram and span (the profiler
+  has no wall clock of its own),
 * ``cpu_seconds`` — CPU time consumed by the executing thread
   (``time.thread_time``), so a stage that sleeps or waits on I/O
-  shows a wall/CPU gap,
+  shows a wall/CPU gap, plus worker-process CPU time summed over
+  attempts on the process backend,
 * ``queue_wait_seconds`` — how long the stage sat ready in the
   scheduler before a worker picked it up (scheduler pressure),
 * ``net_alloc_bytes`` / ``peak_alloc_bytes`` — ``tracemalloc`` deltas
   over the stage: net retained allocation and the traced-memory peak
-  above the stage's baseline.
+  above the stage's baseline, in the parent process only.
 
 The profiler starts ``tracemalloc`` if it is not already tracing (and
-stops it again when the run ends, leaving a caller's own tracing
-untouched).  Peak deltas are exact for sequential (chain) pipelines;
-under concurrent execution the interpreter-wide peak is shared, so a
-stage's ``peak_alloc_bytes`` is an upper bound that may include a
-neighbour's allocations — documented, deterministic behaviour rather
-than a lie of precision.
+stops it again when the run ends, leaving a caller's own tracing and
+recorded peak untouched).  Peak deltas are exact for sequential
+(chain) pipelines when the profiler started tracing; otherwise, and
+under concurrent execution, where the interpreter-wide peak is shared,
+a stage's ``peak_alloc_bytes`` is an upper bound that may include
+other allocations — documented, deterministic behaviour rather than a
+lie of precision.
 
 Results land on :attr:`RunReport.profiles` as plain dicts, render in
 :meth:`RunReport.render`, and are dumpable via ``python -m
@@ -76,14 +80,12 @@ class StageProfile:
 class _StageToken:
     """Baseline measurements captured when a stage begins executing."""
 
-    __slots__ = ("stage", "layer", "queue_wait", "wall0", "cpu0",
-                 "mem0")
+    __slots__ = ("stage", "layer", "queue_wait", "cpu0", "mem0")
 
     def __init__(self, stage, layer, queue_wait, mem0):
         self.stage = stage
         self.layer = layer
         self.queue_wait = queue_wait
-        self.wall0 = time.perf_counter()
         self.cpu0 = time.thread_time()
         self.mem0 = mem0
 
@@ -93,8 +95,8 @@ class RunProfiler:
 
     The scheduler calls :meth:`stage_begin` in the worker thread just
     before a stage's first attempt and :meth:`stage_end` when the
-    stage reaches any terminal outcome; both are cheap (two clock
-    reads and a ``tracemalloc.get_traced_memory`` call).
+    stage reaches any terminal outcome; both are cheap (a CPU clock
+    read and a ``tracemalloc.get_traced_memory`` call).
     """
 
     def __init__(self):
@@ -122,31 +124,31 @@ class RunProfiler:
         """Capture baselines in the executing thread; returns a token.
 
         ``serial=True`` (chain execution) additionally resets the
-        tracemalloc peak so the stage's peak delta is exact rather
-        than an upper bound shared with concurrent neighbours.
+        tracemalloc peak — if this profiler started tracing — so the
+        stage's peak delta is exact rather than an upper bound.
         """
         if not self._active:
             return None
-        if serial and tracemalloc.is_tracing():
+        if serial and self._started_tracemalloc:
             tracemalloc.reset_peak()
         mem0 = (tracemalloc.get_traced_memory()[0]
                 if tracemalloc.is_tracing() else 0)
         return _StageToken(stage, layer, queue_wait, mem0)
 
-    def stage_end(self, token):
-        """Close a token and record the stage's profile."""
+    def stage_end(self, token, wall_seconds, worker_cpu):
+        """Close a token and record the stage's profile, given the
+        scheduler's duration and any worker-process CPU time."""
         if token is None or not self._active:
             return None
-        wall = time.perf_counter() - token.wall0
-        cpu = time.thread_time() - token.cpu0
+        cpu = time.thread_time() - token.cpu0 + worker_cpu
         if tracemalloc.is_tracing():
             current, peak = tracemalloc.get_traced_memory()
             net = current - token.mem0
             peak_delta = max(0, peak - token.mem0)
         else:
             net = peak_delta = 0
-        profile = StageProfile(token.stage, token.layer, wall, cpu,
-                               token.queue_wait, net, peak_delta)
+        profile = StageProfile(token.stage, token.layer, wall_seconds,
+                               cpu, token.queue_wait, net, peak_delta)
         with self._lock:
             self._profiles[token.stage] = profile
         return profile

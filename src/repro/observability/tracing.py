@@ -7,8 +7,11 @@ objects; :class:`SpanTracer` folds that stream back into a *span tree*
 * one ``tick`` span per ``tick_start``/``tick_end`` pair of a
   streaming session, parenting the tick's run span,
 * one ``run`` span per ``run_start``/``run_end`` pair,
-* one ``stage`` span per stage (including zero-length spans for
-  stages cancelled before they started and for cache replays),
+* one ``stage`` span per stage, opened by ``stage_start`` and closed
+  by the stage's terminal event, so its duration equals the
+  ``RunReport`` record (stages cancelled before they started and
+  cache replays get a span reaching back the terminal event's
+  ``seconds``),
 * one ``attempt`` span per execution attempt under its stage span
   (retries, timeouts and cancellations each close an attempt with
   the matching status), and one ``fallback`` span when a stage's
@@ -44,6 +47,10 @@ __all__ = ["Span", "SpanTracer", "TeeTracer"]
 #: to any span bookkeeping they trigger.
 INSTANT_KINDS = ("cache_hit", "fault_injected", "stage_retry",
                  "stage_skip", "stage_fallback")
+
+#: (attempt status, stage status when the event is terminal).
+_FAILURE_STATUS = {"stage_error": ("error", "failed"),
+                   "stage_timeout": ("timeout", "timed_out")}
 
 
 class Span:
@@ -119,7 +126,6 @@ class SpanTracer(CollectingTracer):
         self._tick_span = None
         self._stage_spans = {}
         self._attempt_spans = {}
-        self._pending_status = {}
 
     # -- construction helpers (all called under _span_lock) -----------------
 
@@ -140,10 +146,17 @@ class SpanTracer(CollectingTracer):
 
     def _close_stage(self, stage, status, event, **attributes):
         span = self._stage_spans.pop(stage, None)
-        self._pending_status.pop(stage, None)
-        if span is not None:
-            span.close(status, event.monotonic, **attributes)
-        return span
+        if span is None:
+            # No stage_start (a cache replay, or cancelled before it
+            # started): reach back the terminal event's seconds.
+            # end - seconds recovers the start stamp exactly
+            # (Sterbenz), so the span lasts the engine's duration.
+            span = self._new_span(stage, "stage", event,
+                                  self._run_span, layer=event.layer)
+            seconds = event.data.get("seconds", 0.0)
+            span.start -= seconds
+            span.start_wall -= seconds
+        span.close(status, event.monotonic, **attributes)
 
     # -- the tracer protocol -------------------------------------------------
 
@@ -171,7 +184,6 @@ class SpanTracer(CollectingTracer):
         elif kind == "run_start":
             self._stage_spans.clear()
             self._attempt_spans.clear()
-            self._pending_status.clear()
             self._run_span = self._new_span("run", "run", event,
                                             self._tick_span,
                                             **event.data)
@@ -189,12 +201,13 @@ class SpanTracer(CollectingTracer):
             data = {("next_attempt" if key == "attempt" else key): value
                     for key, value in event.data.items()}
             self._close_attempt(stage, "retry", event, **data)
-        elif kind == "stage_error":
-            self._close_attempt(stage, "error", event, **event.data)
-            self._pending_status[stage] = "failed"
-        elif kind == "stage_timeout":
-            self._close_attempt(stage, "timeout", event, **event.data)
-            self._pending_status[stage] = "timed_out"
+        elif kind in _FAILURE_STATUS:
+            attempt_status, stage_status = _FAILURE_STATUS[kind]
+            self._close_attempt(stage, attempt_status, event,
+                                **event.data)
+            if "seconds" in event.data:  # final: the stage ends here
+                self._close_stage(stage, stage_status, event,
+                                  **event.data)
         elif kind == "stage_skip":
             self._close_stage(stage, "skipped", event)
         elif kind == "stage_fallback":
@@ -209,28 +222,14 @@ class SpanTracer(CollectingTracer):
         elif kind == "stage_cancelled":
             self._close_attempt(stage, "cancelled", event,
                                 **event.data)
-            if stage in self._stage_spans:
-                self._close_stage(stage, "cancelled", event,
-                                  **event.data)
-            else:
-                # Cancelled before it ever started: zero-length span
-                # so every stage of the run is visible in the trace.
-                span = self._new_span(stage, "stage", event,
-                                      self._run_span,
-                                      layer=event.layer, **event.data)
-                span.close("cancelled", event.monotonic)
+            self._close_stage(stage, "cancelled", event, **event.data)
         elif kind == "cache_hit":
-            span = self._new_span(stage, "stage", event,
-                                  self._run_span, layer=event.layer,
-                                  cached=True)
-            span.close("cached", event.monotonic)
+            self._close_stage(stage, "cached", event, cached=True)
         elif kind == "run_end":
             for stage_name in list(self._attempt_spans):
                 self._close_attempt(stage_name, "unclosed", event)
             for stage_name in list(self._stage_spans):
-                status = self._pending_status.get(stage_name,
-                                                  "unclosed")
-                self._close_stage(stage_name, status, event)
+                self._close_stage(stage_name, "unclosed", event)
             if self._run_span is not None:
                 self._run_span.close(self._run_status(), event.monotonic,
                                      **event.data)

@@ -20,11 +20,19 @@ Regenerate the golden fixture after an *intentional* schema change::
 import json
 import os
 import threading
+import time
 import tracemalloc
 
 import pytest
 
-from repro import DecisionPipeline, FaultInjector
+from repro import (
+    DecisionPipeline,
+    FaultInjector,
+    ProcessExecutor,
+    RunDeadlineExceeded,
+    StageCache,
+    StageFailure,
+)
 from repro.core.events import EVENT_KINDS
 from repro.observability import (
     DEFAULT_BUCKETS,
@@ -599,10 +607,14 @@ class TestProfiling:
         if not already_tracing:
             tracemalloc.start()
         try:
+            block = bytearray(20_000_000)
+            del block
             with use_registry():
                 _, report = _two_stage_pipeline().run(profile=True)
             assert tracemalloc.is_tracing()
             assert report.profile("produce")["peak_alloc_bytes"] > 0
+            # the caller's recorded peak survives the profiled run
+            assert tracemalloc.get_traced_memory()[1] >= 20_000_000
         finally:
             if not already_tracing:
                 tracemalloc.stop()
@@ -619,6 +631,223 @@ class TestProfiling:
         assert len(report.profiles) == 4
         for profile in report.profiles.values():
             assert profile["wall_seconds"] >= 0.0
+
+
+# ---------------------------------------------------------------------------
+# one stage clock: report, spans, metrics and profile reconcile exactly
+# ---------------------------------------------------------------------------
+
+
+def clock_source(view):
+    view["x"] = 1
+    return "ok"
+
+
+def clock_flaky(view):
+    view["y"] = view["x"] + 1
+    return "ok"
+
+
+def clock_broken(view):
+    raise ValueError("stage down")
+
+
+def clock_fallback(view):
+    view["action"] = "hold"
+    return "held"
+
+
+def clock_hang(view):
+    view["h"] = view["x"]
+    return "ok"
+
+
+def clock_cached(view):
+    view["c"] = view["seed"] * 2
+    return "ok", {"rows": 1}
+
+
+def clock_after(view):
+    view["z"] = view["b"]
+    return "ok"
+
+
+def clock_slow(view):
+    view["b"] = view["x"]
+    return "ok"
+
+
+def clock_spin(view):
+    """Burns 0.2 s of CPU in whichever thread runs the attempt."""
+    deadline = time.thread_time() + 0.2
+    while time.thread_time() < deadline:
+        pass
+    view["spun"] = True
+    return "ok"
+
+
+@pytest.fixture(scope="module")
+def process_executor():
+    """One shared worker pool for the module's process-backend runs."""
+    executor = ProcessExecutor(max_workers=2)
+    yield executor
+    executor.close()
+
+
+@pytest.fixture(params=["serial", "thread", "process"])
+def backend(request, process_executor):
+    if request.param == "process":
+        return process_executor
+    return request.param
+
+
+def _clock_run(pipeline, backend, faults=None, *, expect=None,
+               **kwargs):
+    """Run with a span tracer, a fresh registry and profiling on;
+    returns ``(report, spans, registry)``, also for a run that
+    raises ``expect``."""
+    spans = SpanTracer()
+    tracer = spans if faults is None else faults.forward_to(spans)
+    with use_registry() as registry:
+        if expect is None:
+            _, report = pipeline.run(tracer=tracer, executor=backend,
+                                     profile=True, **kwargs)
+        else:
+            with pytest.raises(expect) as caught:
+                pipeline.run(tracer=tracer, executor=backend,
+                             profile=True, **kwargs)
+            report = caught.value.report
+    return report, spans, registry
+
+
+def _assert_one_clock(report, spans, registry):
+    """Every timing source reads the same float for every stage."""
+    durations = registry.get("engine.stage_duration_seconds")
+    waits = registry.get("engine.stage_queue_wait_seconds")
+    for record in report.records:
+        seconds = record.duration_seconds
+        assert spans.span(record.name).duration == seconds, record
+        if record.status == "cancelled":
+            assert durations.count(stage=record.name) == 0
+        else:
+            assert durations.sum(stage=record.name) == seconds, record
+        if record.name in report.profiles:
+            profile = report.profile(record.name)
+            assert profile["wall_seconds"] == seconds, record
+            assert (waits.sum(stage=record.name)
+                    == profile["queue_wait_seconds"]), record
+    run_span = spans.span("run", kind="run")
+    assert run_span.duration == report.wall_seconds
+    assert (registry.get("engine.run_duration_seconds").sum()
+            == report.wall_seconds)
+
+
+class TestOneStageClock:
+    """Report, spans, histograms and profile share two stamps per
+    stage, so they agree with ``==`` — never ``approx`` — for every
+    stage status on every backend."""
+
+    def test_every_status_reconciles(self, backend):
+        cache = StageCache()
+        warm = DecisionPipeline("warm")
+        warm.add_data("cached", clock_cached, reads=("seed",),
+                      writes=("c",))
+        with use_registry():
+            warm.run({"seed": 1}, cache=cache, executor="serial")
+        pipeline = DecisionPipeline("one-clock")
+        pipeline.add_data("source", clock_source, reads=(),
+                          writes=("x",))
+        pipeline.add_data("cached", clock_cached, reads=("seed",),
+                          writes=("c",))
+        pipeline.add_governance("flaky", clock_flaky, reads=("x",),
+                                writes=("y",), retries=2,
+                                backoff=0.01)
+        pipeline.add_analytics("optional", clock_broken, reads=("x",),
+                               writes=("s",), on_error="skip")
+        pipeline.add_analytics("hang", clock_hang, reads=("x",),
+                               writes=("h",), timeout=30.0,
+                               on_error="skip")
+        pipeline.add_decision("primary", clock_broken, reads=("y",),
+                              writes=("action",), on_error="fallback",
+                              fallback=clock_fallback)
+        faults = FaultInjector().fail("flaky", times=2).timeout("hang")
+        report, spans, registry = _clock_run(
+            pipeline, backend, faults, initial_state={"seed": 1},
+            cache=cache)
+        assert report.status_map() == {
+            "source": "ok", "cached": "ok", "flaky": "ok",
+            "optional": "skipped", "hang": "skipped",
+            "primary": "fallback"}
+        assert report.record("cached").cache_hit
+        assert report.record("flaky").retries == 2
+        assert spans.of_kind("stage_timeout")
+        _assert_one_clock(report, spans, registry)
+        # the retried stage's duration covers both failed attempts
+        # and the backoff pauses between them
+        flaky = spans.span("flaky")
+        attempts = spans.spans(kind="attempt", name="flaky")
+        assert len(attempts) == 3
+        assert flaky.start <= attempts[0].start
+        assert attempts[-1].end <= flaky.end
+
+    def test_fail_policy_reconciles(self, backend):
+        pipeline = DecisionPipeline("one-clock-fail")
+        pipeline.add_data("source", clock_source, reads=(),
+                          writes=("x",))
+        pipeline.add_governance("broken", clock_broken, reads=("x",),
+                                writes=("b",), retries=1,
+                                backoff=0.01)
+        pipeline.add_analytics("after", clock_after, reads=("b",),
+                               writes=("z",))
+        report, spans, registry = _clock_run(pipeline, backend,
+                                             expect=StageFailure)
+        assert report.status_map() == {
+            "source": "ok", "broken": "failed", "after": "cancelled"}
+        assert spans.span("broken").status == "failed"
+        assert report.record("after").duration_seconds == 0.0
+        _assert_one_clock(report, spans, registry)
+
+    def test_deadline_cancellation_reconciles(self, backend):
+        pipeline = DecisionPipeline("one-clock-deadline")
+        pipeline.add_data("source", clock_source, reads=(),
+                          writes=("x",))
+        pipeline.add_governance("slow", clock_slow, reads=("x",),
+                                writes=("b",))
+        pipeline.add_analytics("after", clock_after, reads=("b",),
+                               writes=("z",))
+        faults = FaultInjector().delay("slow", 0.3)
+        report, spans, registry = _clock_run(
+            pipeline, backend, faults, expect=RunDeadlineExceeded,
+            deadline=0.05)
+        assert report.status_map() == {
+            "source": "ok", "slow": "cancelled", "after": "cancelled"}
+        assert "slow" in report.profiles
+        _assert_one_clock(report, spans, registry)
+
+    def test_tick_span_matches_tick_histogram(self, backend):
+        pipeline = DecisionPipeline("one-clock-stream")
+        pipeline.add_data("source", clock_source, reads=(),
+                          writes=("x",))
+        pipeline.add_governance("flaky", clock_flaky, reads=("x",),
+                                writes=("y",))
+        spans = SpanTracer()
+        with use_registry() as registry:
+            session = pipeline.stream(tracer=spans, executor=backend)
+            session.tick()
+        (tick,) = spans.spans(kind="tick")
+        assert (registry.get("engine.tick_duration_seconds").sum()
+                == tick.duration)
+        run_span = spans.span("run", kind="run")
+        assert run_span.duration == session.last_report.wall_seconds
+
+    def test_process_backend_counts_worker_cpu(self, process_executor):
+        pipeline = DecisionPipeline("one-clock-cpu")
+        pipeline.add_data("spin", clock_spin, reads=(),
+                          writes=("spun",))
+        with use_registry():
+            _, report = pipeline.run(executor=process_executor,
+                                     profile=True)
+        assert report.profile("spin")["cpu_seconds"] >= 0.2
 
 
 # ---------------------------------------------------------------------------
