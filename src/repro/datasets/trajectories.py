@@ -16,7 +16,7 @@ import numpy as np
 
 import networkx as nx
 
-from .._validation import ensure_rng
+from .._validation import check_positive, ensure_rng
 from ..datatypes import GpsPoint, Trajectory
 from .traffic import TrafficSimulator
 
@@ -29,7 +29,9 @@ def simulate_trip(network, path, edge_times, *, start_time=0.0,
 
     Positions are interpolated along each edge at constant speed; one
     sample is emitted every ``sample_interval`` time units, plus the trip
-    endpoints.
+    endpoints.  The clocks are running sums (``np.add.accumulate`` adds
+    in order, as a loop would), and each sample is placed on the first
+    edge that ends after it.
 
     Returns
     -------
@@ -41,21 +43,28 @@ def simulate_trip(network, path, edge_times, *, start_time=0.0,
         raise ValueError(
             f"expected {len(edges)} edge times, got {len(edge_times)}"
         )
-    points = [GpsPoint(*network.position(path[0]), start_time)]
-    clock = float(start_time)
-    next_sample = clock + sample_interval
-    for (u, v), duration in zip(edges, edge_times):
-        if duration <= 0:
-            raise ValueError("edge times must be positive")
-        edge_end = clock + duration
-        while next_sample < edge_end:
-            fraction = (next_sample - clock) / duration
-            x, y = network.point_on_edge(u, v, fraction)
-            points.append(GpsPoint(x, y, next_sample))
-            next_sample += sample_interval
-        clock = edge_end
-    points.append(GpsPoint(*network.position(path[-1]), clock))
-    return Trajectory(points)
+    durations = np.asarray(edge_times, dtype=float)
+    if not np.all(durations > 0):
+        raise ValueError("edge times must be positive")
+    if not np.isfinite(durations).all():
+        raise ValueError("edge times must be finite")
+    check_positive(sample_interval, "sample_interval")
+    start = float(start_time)
+    clocks = np.add.accumulate(np.concatenate([[start], durations]))
+    end = float(clocks[-1])
+    count = int((end - start) / sample_interval) + 2
+    samples = np.add.accumulate(
+        np.concatenate([[start], np.full(count, float(sample_interval))]))
+    samples = samples[1:][samples[1:] < end]
+    edge = np.searchsorted(clocks[1:], samples, side="right")
+    fractions = np.minimum(np.maximum(
+        (samples - clocks[edge]) / durations[edge], 0.0), 1.0)
+    xy = np.asarray([network.position(node) for node in path], dtype=float)
+    along = xy[edge] + fractions[:, None] * (xy[edge + 1] - xy[edge])
+    coordinates = np.concatenate([xy[:1], along, xy[-1:]]).tolist()
+    times = [start, *samples.tolist(), end]
+    return Trajectory([GpsPoint(x, y, t)
+                       for (x, y), t in zip(coordinates, times)])
 
 
 class TrajectoryGenerator:

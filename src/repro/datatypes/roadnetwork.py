@@ -32,14 +32,14 @@ __all__ = ["RoadNetwork"]
 class _GeometryIndex:
     """Immutable numpy snapshot of a network's geometry + uniform grid.
 
-    Built once per network revision (keyed on node/edge counts) and
-    shared by every geometric query.  The grid buckets edges by their
-    bounding boxes and nodes by their cells, so ``candidate_edges`` and
-    ``nearest_node`` inspect only nearby cells instead of scanning the
-    whole graph.
+    Built once per network revision (keyed on the graph shape and the
+    ``length`` edits) and shared by every geometric query.  The grid
+    buckets edges by their bounding boxes and nodes by their cells, so
+    ``candidate_edges`` and ``nearest_node`` inspect only nearby cells
+    instead of scanning the whole graph.
     """
 
-    def __init__(self, graph):
+    def __init__(self, graph, lock):
         self.edge_list = list(graph.edges())
         self.node_list = list(graph.nodes())
         positions = {
@@ -75,24 +75,12 @@ class _GeometryIndex:
             np.ceil((hi - lo) / self.cell).astype(int) + 1, 1)
         self.nx_cells, self.ny_cells = int(shape[0]), int(shape[1])
 
-        # Edges bucketed by the cells their bounding boxes cover, as a
-        # dense ``(nx_cells, ny_cells, width)`` table of edge indices in
-        # ascending order, padded with -1.
-        buckets = {}
-        if len(self.edge_list):
-            lo_cells = self._cell_of(np.minimum(self.a, self.b))
-            hi_cells = self._cell_of(np.maximum(self.a, self.b))
-            for index in range(len(self.edge_list)):
-                x0, y0 = lo_cells[index]
-                x1, y1 = hi_cells[index]
-                for cx in range(x0, x1 + 1):
-                    for cy in range(y0, y1 + 1):
-                        buckets.setdefault((cx, cy), []).append(index)
-        width = max(map(len, buckets.values()), default=1)
-        self.cell_edges = np.full((self.nx_cells, self.ny_cells, width),
-                                  -1, dtype=np.intp)
-        for (cx, cy), indices in buckets.items():
-            self.cell_edges[cx, cy, :len(indices)] = indices
+        # Each edge is bucketed in the cells its bounding box covers,
+        # ``_edge_lo`` to ``_edge_hi``; candidate tables grow from these.
+        self._edge_lo = self._cell_of(np.minimum(self.a, self.b))
+        self._edge_hi = self._cell_of(np.maximum(self.a, self.b))
+        self._lock = lock
+        self._tables = {}
 
         # Per-edge endpoint node indices (rows of ``node_list``, which is
         # also :meth:`RoadNetwork.node_index` order) and lengths, so the
@@ -117,15 +105,12 @@ class _GeometryIndex:
         }
 
     def _cell_of(self, points):
-        """Integer cell coordinates of finite ``(..., 2)`` points.
-
-        Clamped to one cell beyond the grid on each side *before* the int
-        cast, so a far-off point cannot overflow it; every in-grid
-        comparison (``max(cell, 0)``, ``min(cell, n - 1)``) is unchanged.
-        """
+        """Cell coordinates of finite ``(..., 2)`` points, clamped into
+        the grid (an off-map point gets the nearest cell) *before* the
+        int cast, so a far-off point cannot overflow it."""
         cells = np.floor(
             (np.asarray(points, dtype=float) - self.origin) / self.cell)
-        return np.clip(cells, -1, (self.nx_cells, self.ny_cells)) \
+        return np.clip(cells, 0, (self.nx_cells - 1, self.ny_cells - 1)) \
             .astype(int)
 
     def project_many(self, points, indices):
@@ -138,9 +123,10 @@ class _GeometryIndex:
         edge.
         """
         points = np.asarray(points, dtype=float)[..., None, :]
-        a = self.a[indices]
-        ab = self.ab[indices]
-        norm2 = self.norm2[indices]
+        # ``take`` gathers rows several times faster than ``a[indices]``.
+        a = self.a.take(indices, axis=0)
+        ab = self.ab.take(indices, axis=0)
+        norm2 = self.norm2.take(indices)
         rel = points - a
         with np.errstate(invalid="ignore"):
             fractions = np.where(
@@ -154,35 +140,77 @@ class _GeometryIndex:
                              points[..., 1] - closest[..., 1])
         return distances, fractions
 
-    def edges_near(self, point, radius):
-        """Indices of edges whose grid cells intersect the query disk.
+    def candidate_table(self, radius):
+        """The candidate table serving queries of ``radius``.
 
-        A conservative superset (grid cells overestimate the segment),
-        in ascending edge-index order.
+        An ``(nx_cells, ny_cells, width)`` array: row ``(cx, cy)`` lists,
+        ascending and padded with -1, every edge bucketed within
+        ``reach = ceil(radius / cell)`` cells of ``(cx, cy)``.  For a
+        point whose :meth:`_cell_of` is ``(cx, cy)`` that is a
+        superset of the edges within ``radius``: the query disk lies
+        inside the block, clamped or not.
+
+        Keyed by reach, not radius, so nearby radii share one table;
+        a row covers ``(2 * reach + 1) ** 2`` cells, so memory grows
+        with the square of the reach.  Built once per index: a fast
+        unguarded read of the installed table, then a re-check and
+        build under the network's lock.
         """
-        px, py = float(point[0]), float(point[1])
-        lo = self._cell_of(np.array([px - radius, py - radius]))
-        hi = self._cell_of(np.array([px + radius, py + radius]))
-        x0, y0 = max(int(lo[0]), 0), max(int(lo[1]), 0)
-        x1 = min(int(hi[0]), self.nx_cells - 1)
-        y1 = min(int(hi[1]), self.ny_cells - 1)
-        block = self.cell_edges[x0:x1 + 1, y0:y1 + 1]
-        return np.unique(block[block >= 0])
+        reach = max(math.ceil(min(radius / self.cell,
+                                  max(self.nx_cells, self.ny_cells))), 0)
+        table = self._tables.get(reach)
+        if table is not None:
+            return table
+        with self._lock:
+            table = self._tables.get(reach)
+            if table is None:
+                table = self._build_candidate_table(reach)
+                self._tables[reach] = table
+            return table
 
-    #: Max (point, edge) slots gathered at once by
-    #: :meth:`trace_candidates`; bounds its scratch memory when the
-    #: query disk spans many cells.
+    def _build_candidate_table(self, reach):
+        """Row ``(cx, cy)``: every edge whose bucket block, grown by
+        ``reach`` cells on each side, covers the cell, ascending."""
+        n_cells = self.nx_cells * self.ny_cells
+        limit = (self.nx_cells - 1, self.ny_cells - 1)
+        lo = np.clip(self._edge_lo - reach, 0, limit)
+        hi = np.clip(self._edge_hi + reach, 0, limit)
+        # Enumerate every (edge, cell) pair, edge by edge, column by
+        # column of each edge's block.
+        heights = hi[:, 1] - lo[:, 1] + 1
+        counts = (hi[:, 0] - lo[:, 0] + 1) * heights
+        offsets = np.arange(counts.sum()) \
+            - np.repeat(np.cumsum(counts) - counts, counts)
+        dx, dy = np.divmod(offsets, np.repeat(heights, counts))
+        cells = np.repeat(lo[:, 0] * self.ny_cells + lo[:, 1], counts) \
+            + dx * self.ny_cells + dy
+        # A stable sort by cell keeps each cell's edges ascending; the
+        # narrowest key dtype lets numpy pick a radix sort.
+        order = np.argsort(cells.astype(np.min_scalar_type(n_cells)),
+                           kind="stable")
+        cells = cells[order]
+        filled = np.bincount(cells, minlength=n_cells)
+        slots = np.arange(len(cells)) - (np.cumsum(filled) - filled)[cells]
+        table = np.full((n_cells, max(int(filled.max(initial=0)), 1)), -1,
+                        dtype=np.int32)
+        table[cells, slots] = np.repeat(
+            np.arange(len(counts), dtype=np.int32), counts)[order]
+        return table.reshape(self.nx_cells, self.ny_cells, -1)
+
+    #: Max (point, edge) slots projected at once by
+    #: :meth:`trace_candidates`; bounds its scratch memory when a
+    #: table row holds many edges.
     _GATHER_SLOTS = 1 << 18
 
     def trace_candidates(self, points, radius, limit):
         """:meth:`RoadNetwork.candidate_edges` for a whole trace at once.
 
-        One cell gather for all ``T`` points, one broadcast projection
-        and one stable sort.  Returns ``(edges, distances, fractions,
-        counts)``: three ``(T, K)`` arrays whose row ``t`` holds, as edge
-        indices, ``candidate_edges(points[t], radius)[:limit]`` with the
-        same float bits and tie order, and ``counts[t]``, the number of
-        real slots in that row (the rest is padding).  Non-finite points
+        One table row per point, one broadcast projection and one
+        stable sort.  Returns ``(edges, distances, fractions, counts)``:
+        three ``(T, K)`` arrays whose row ``t`` holds, as edge indices,
+        ``candidate_edges(points[t], radius)[:limit]`` with the same
+        float bits and tie order, and ``counts[t]``, the number of real
+        slots in that row (the rest is padding).  Non-finite points
         raise :class:`ValueError` naming the first one's index.
         """
         points = check_finite_points(points, "point").reshape(-1, 2)
@@ -190,55 +218,25 @@ class _GeometryIndex:
             empty = np.zeros((len(points), 0))
             return (empty.astype(np.intp), empty, empty,
                     np.zeros(len(points), dtype=np.intp))
-        lo = np.maximum(self._cell_of(points - radius), 0)
-        hi = np.minimum(self._cell_of(points + radius),
-                        (self.nx_cells - 1, self.ny_cells - 1))
-        spans = np.maximum(hi - lo + 1, 0)  # 0: the box misses the grid
-        wx, wy = (int(w) for w in spans.max(axis=0))
-        slots = max(wx * wy * self.cell_edges.shape[2], 1)
-        step = max(self._GATHER_SLOTS // slots, 1)
-        parts = [
-            self._gather(points[start:start + step], lo[start:start + step],
-                         spans[start:start + step], wx, wy, radius, limit)
-            for start in range(0, len(points), step)
-        ]
-        edges, distances, fractions, counts = (
-            np.concatenate(arrays) for arrays in zip(*parts))
-        width = int(counts.max())
-        return (edges[:, :width], distances[:, :width],
-                fractions[:, :width], counts)
-
-    def _gather(self, points, lo, spans, wx, wy, radius, limit):
-        """One chunk of :meth:`trace_candidates`.
-
-        Returns ``min(limit, wx * wy * width)`` columns, the same for
-        every chunk of a trace.
-        """
-        n_edges = len(self.edge_list)
-        dx = np.arange(wx)[:, None]
-        dy = np.arange(wy)[None, :]
-        inside = (dx < spans[:, 0, None, None]) \
-            & (dy < spans[:, 1, None, None])
-        gathered = self.cell_edges[
-            np.where(inside, lo[:, 0, None, None] + dx, 0),
-            np.where(inside, lo[:, 1, None, None] + dy, 0)]
-        gathered = np.where(inside[..., None] & (gathered >= 0), gathered,
-                            n_edges).reshape(len(points), -1)
-        # Ascending edge order with duplicates (edges spanning several
-        # cells) and padding masked out: ``edges_near``'s np.unique.
-        gathered.sort(axis=1)
-        real = gathered < n_edges
-        real[:, 1:] &= gathered[:, 1:] != gathered[:, :-1]
-        edges = np.where(real, gathered, 0)
-        distances, fractions = self.project_many(points, edges)
-        keep = real & (distances <= radius)
-        order = np.argsort(np.where(keep, distances, np.inf), axis=1,
-                           kind="stable")[:, :limit]
+        table = self.candidate_table(radius)
+        cx, cy = self._cell_of(points).T
+        edges = table[cx, cy]
+        distances = np.empty(edges.shape)
+        fractions = np.empty(edges.shape)
+        step = max(self._GATHER_SLOTS // edges.shape[1], 1)
+        for start in range(0, len(points), step):
+            chunk = slice(start, start + step)
+            distances[chunk], fractions[chunk] = self.project_many(
+                points[chunk], edges[chunk])
+        keep = (edges >= 0) & (distances <= radius)
         counts = np.minimum(keep.sum(axis=1), limit)
-        return (np.take_along_axis(edges, order, axis=1),
-                np.take_along_axis(distances, order, axis=1),
-                np.take_along_axis(fractions, order, axis=1),
-                counts)
+        width = int(counts.max())
+        order = np.argsort(np.where(keep, distances, np.inf), axis=1,
+                           kind="stable")[:, :width]
+        # Flat indices into the row-major arrays: one ``take`` each.
+        order += np.arange(0, edges.size, edges.shape[1])[:, None]
+        return (edges.take(order), distances.take(order),
+                fractions.take(order), counts)
 
     def _ring_nodes(self, center, ring):
         """Node indices in the cells at Chebyshev distance ``ring``."""
@@ -276,9 +274,7 @@ class _GeometryIndex:
         if not len(self.node_list):
             return None
         px, py = float(point[0]), float(point[1])
-        center = np.clip(self._cell_of((px, py)), 0,
-                         (self.nx_cells - 1, self.ny_cells - 1))
-        center = (int(center[0]), int(center[1]))
+        center = tuple(int(c) for c in self._cell_of((px, py)))
         # Rings needed to cover every populated cell from the center.
         max_ring = max(
             max(abs(cx - center[0]), abs(cy - center[1]))
@@ -337,6 +333,9 @@ class RoadNetwork:
     def _init_caches(self):
         """Fresh snapshot holders + the lock that guards their builds."""
         self._cache_lock = threading.RLock()
+        # Per-attribute count of set_edge_attribute calls: part of the
+        # key of every snapshot that reads that attribute.
+        self._edits = {}
         # (revision_key, _GeometryIndex) installed as ONE tuple so
         # readers can never pair a stale key with a fresh index.
         self._geometry_snapshot = None
@@ -351,6 +350,7 @@ class RoadNetwork:
         """
         state = self.__dict__.copy()
         state.pop("_cache_lock", None)
+        state.pop("_edits", None)
         state["_geometry_snapshot"] = None
         state["_adjacency_cache"] = {}
         return state
@@ -450,10 +450,16 @@ class RoadNetwork:
         return list(self._graph.successors(node))
 
     def set_edge_attribute(self, u, v, key, value):
-        """Attach governance data (weights, distributions) to an edge."""
+        """Attach governance data (weights, distributions) to an edge.
+
+        Snapshots that read ``key`` (Dijkstra adjacency weighted by it,
+        or the geometry index for ``"length"``) rebuild on next use.
+        """
         if not self._graph.has_edge(u, v):
             raise KeyError(f"no edge ({u!r}, {v!r})")
         self._graph.edges[u, v][key] = value
+        with self._cache_lock:
+            self._edits[key] = self._edits.get(key, 0) + 1
 
     def edge_attribute(self, u, v, key, default=None):
         if not self._graph.has_edge(u, v):
@@ -462,25 +468,30 @@ class RoadNetwork:
 
     # -- geometry ------------------------------------------------------------
 
-    def _revision(self):
-        """Cheap ``(n_nodes, n_edges)`` fingerprint of the graph shape.
+    def _revision(self, attribute):
+        """Cheap ``(n_nodes, n_edges, edits)`` key of snapshots that read
+        edge ``attribute``: the graph shape and how many times
+        :meth:`set_edge_attribute` set ``attribute``.
 
         Uses the successor dicts directly: ``number_of_edges()`` walks a
         degree view and is too slow to run per geometric query.
         """
+        edits = self._edits.get(attribute, 0)
         succ = getattr(self._graph, "_succ", None)
         if succ is None:  # non-standard graph implementation
             return (self._graph.number_of_nodes(),
-                    self._graph.number_of_edges())
-        return len(succ), sum(map(len, succ.values()))
+                    self._graph.number_of_edges(), edits)
+        return len(succ), sum(map(len, succ.values())), edits
 
     def _geometry(self):
         """The lazily built spatial index for the current graph revision.
 
-        The index caches node/edge coordinates as numpy arrays plus a
-        uniform grid, keyed on ``(n_nodes, n_edges)``: adding or removing
-        nodes/edges rebuilds it automatically.  In-place *coordinate*
-        mutation of an existing node is not detectable this way — call
+        The index caches node/edge coordinates and lengths as numpy
+        arrays plus a uniform grid, keyed on ``(n_nodes, n_edges)`` and
+        the ``"length"`` edits: adding or removing nodes/edges, or
+        setting a length through :meth:`set_edge_attribute`, rebuilds it
+        automatically.  In-place *coordinate* mutation of an existing
+        node is not detectable this way — call
         :meth:`invalidate_geometry` after moving nodes.
 
         Safe under concurrency: the fast path reads one atomically
@@ -488,7 +499,7 @@ class RoadNetwork:
         the cache lock and double-checks, so a rebuild runs once no
         matter how many threads race the first query.
         """
-        key = self._revision()
+        key = self._revision("length")
         snapshot = self._geometry_snapshot
         if snapshot is not None and snapshot[0] == key:
             return snapshot[1]
@@ -496,7 +507,7 @@ class RoadNetwork:
             snapshot = self._geometry_snapshot
             if snapshot is not None and snapshot[0] == key:
                 return snapshot[1]
-            index = _GeometryIndex(self._graph)
+            index = _GeometryIndex(self._graph, self._cache_lock)
             self._geometry_snapshot = (key, index)
             return index
 
@@ -505,9 +516,10 @@ class RoadNetwork:
 
         Dijkstra over networkx edge views spends most of its time in
         attribute-dict indirection; snapshotting the weights once per
-        graph revision makes repeated single-source searches cheap.
+        graph revision (shape and ``weight`` edits) makes repeated
+        single-source searches cheap.
         """
-        key = self._revision()
+        key = self._revision(weight)
         cached = self._adjacency_cache.get(weight)
         if cached is not None and cached[0] == key:
             return cached[1]
@@ -531,9 +543,10 @@ class RoadNetwork:
         ``adjacency[i]`` lists ``(edge_weight, successor_index)`` pairs.
         Dense integer indices let single-source searches run over plain
         lists and return numpy arrays, which is what the vectorized map
-        matcher gathers from.  Cached per graph revision.
+        matcher gathers from.  Cached per graph revision (shape and
+        ``weight`` edits).
         """
-        key = self._revision()
+        key = self._revision(weight)
         cached = self._adjacency_cache.get(("indexed", weight))
         if cached is not None and cached[0] == key:
             return cached[1]
@@ -609,25 +622,18 @@ class RoadNetwork:
 
         Returns ``[(u, v, distance, fraction), ...]`` sorted by distance
         (ties in edge insertion order).  Served by the uniform-grid
-        spatial index: only edges in grid cells overlapping the query
-        disk are projected, and the projection runs vectorized over the
-        whole candidate set.
+        spatial index: only the edges of one row of its candidate table
+        are projected, vectorized (a one-point, unlimited
+        ``trace_candidates``).
         """
-        point = check_finite_points(point, "point")
         geometry = self._geometry()
-        indices = geometry.edges_near(point, float(radius))
-        if not len(indices):
-            return []
-        distances, fractions = geometry.project_many(point, indices)
-        keep = distances <= radius
-        indices = indices[keep]
-        distances = distances[keep]
-        fractions = fractions[keep]
-        order = np.argsort(distances, kind="stable")
+        edges, distances, fractions, _ = geometry.trace_candidates(
+            point, radius, len(geometry.edge_list))
         return [
-            (*geometry.edge_list[indices[i]],
-             float(distances[i]), float(fractions[i]))
-            for i in order
+            (*geometry.edge_list[edge], distance, fraction)
+            for edge, distance, fraction in zip(
+                edges[0].tolist(), distances[0].tolist(),
+                fractions[0].tolist())
         ]
 
     def _candidate_edges_scan(self, point, radius):

@@ -18,18 +18,24 @@ Model (exactly the classic formulation):
   (``beta`` = tolerance scale);
 * decoding is exact Viterbi.
 
-The hot path works on a whole trace at once.  One trace-level
-candidate search gathers every point's grid cells together and returns
-padded ``(T, K)`` layers with a validity mask; emissions and the
+The hot path works on a whole trace at once.  Candidates come from the
+network's candidate table: one row per grid cell, listing every edge
+within the search reach, so a trace's candidate search is one row
+lookup per point, one projection and one stable sort, returning padded
+``(T, K)`` layers with a validity mask.  Emissions and the
 ``(T-1, K, K)`` transition tensor are then one numpy expression each
-(padded slots score ``-inf``), and only the Viterbi recurrence loops
-over the ``T`` points.  Network distances come from *bounded* Dijkstra
-searches (radius ``straight + beta_cutoff * beta`` — farther transitions
-score below ``-beta_cutoff`` log-probability and are treated as
-unreachable): one row per distinct ``(exit node, radius)`` in the
-trace, fetched through a bounded LRU cache shared across traces and
-:meth:`HmmMapMatcher.match_many` batches and gathered by fancy
-indexing.
+(padded slots score ``-inf``).  Viterbi loops over the ``T`` points
+with three numpy operations a step, keeping only the ``(T, K)`` forward
+scores; every backpointer is recovered afterwards by one ``argmax``
+over ``forward + transitions``.  Network distances come from *bounded*
+Dijkstra searches (radius ``straight + beta_cutoff * beta`` — farther
+transitions score below ``-beta_cutoff`` log-probability and are
+treated as unreachable): one row per distinct ``(exit node, radius)``
+in the trace, fetched through a bounded LRU cache shared across traces
+and :meth:`HmmMapMatcher.match_many` batches, keyed on the network's
+``length`` revision and gathered by fancy indexing.  Stitching a
+matched path searches the network only between matched edges that do
+not already meet at a node.
 """
 
 from __future__ import annotations
@@ -105,6 +111,7 @@ class HmmMapMatcher:
         self._cache_misses = 0
         self._published_hits = 0
         self._published_misses = 0
+        self._revision = None
 
     def __getstate__(self):
         """Pickle without the lock or the warm LRU (rebuilt lazily)."""
@@ -113,6 +120,7 @@ class HmmMapMatcher:
         state["_distance_cache"] = OrderedDict()
         state["_cache_hits"] = state["_cache_misses"] = 0
         state["_published_hits"] = state["_published_misses"] = 0
+        state["_revision"] = None
         return state
 
     def __setstate__(self, state):
@@ -161,20 +169,33 @@ class HmmMapMatcher:
                 self._distance_cache.popitem(last=False)
         return distances
 
+    def _sync_revision(self):
+        """Drop cached distance rows if a ``length`` edit made them stale.
+
+        The LRU rows are keyed on the network's ``length`` revision (its
+        shape and how often lengths were set): checked once per trace,
+        since mutation is quiesced against queries.
+        """
+        revision = self.network._revision("length")
+        with self._cache_lock:
+            if revision != self._revision:
+                self._distance_cache.clear()
+                self._revision = revision
+
     def _cutoff_for(self, straight):
-        """Dijkstra radius for a step of straight-line length ``straight``.
+        """Dijkstra radii for steps of straight-line lengths ``straight``.
 
         Quantized *up* to 1/8 of the ``beta_cutoff * beta`` margin so
         consecutive steps with slightly different straight-line gaps ask
         for the same radius and share one cache entry per node, instead
         of forcing an upgrade-recompute for every fractionally larger
-        request.
+        request.  ``None`` (unbounded) without a ``beta_cutoff``.
         """
         if self.beta_cutoff is None:
             return None
         quantum = self.beta_cutoff * self.beta / 8.0
-        exact = straight + self.beta_cutoff * self.beta
-        return quantum * math.ceil(exact / quantum)
+        exact = np.asarray(straight) + self.beta_cutoff * self.beta
+        return quantum * np.ceil(exact / quantum)
 
     def _publish_cache_metrics(self):
         """Flush hit/miss deltas to the global metrics registry.
@@ -256,10 +277,12 @@ class HmmMapMatcher:
             math.hypot(x1 - x0, y1 - y0)
             for (x0, y0), (x1, y1) in zip(points, points[1:])
         ]
-        cutoffs = [self._cutoff_for(step) for step in straight]
-        distinct = list(dict.fromkeys(cutoffs))
-        cutoff_id = np.array([distinct.index(c) for c in cutoffs],
-                             dtype=np.intp)
+        cutoffs = self._cutoff_for(straight)
+        if cutoffs is None:
+            distinct, cutoff_id = [None], np.zeros(len(straight), np.intp)
+        else:
+            distinct, cutoff_id = np.unique(cutoffs, return_inverse=True)
+            distinct = distinct.tolist()
         exits = geometry.edge_v[edges[:-1]]
         entries = geometry.edge_u[edges[1:]]
         keys = np.where(valid[:-1],
@@ -271,10 +294,11 @@ class HmmMapMatcher:
         rows = np.full((len(pairs), len(columns)), np.inf)
         # Fetch in first-use order: LRU recency then follows the trace,
         # so a trace that continues where this one ends finds its rows.
-        for row in np.argsort(first, kind="stable"):
+        pairs = pairs.tolist()
+        for row in np.argsort(first, kind="stable").tolist():
             key = pairs[row]
             if key >= 0:
-                node, cutoff = divmod(int(key), len(distinct))
+                node, cutoff = divmod(key, len(distinct))
                 rows[row] = self._distances_from(
                     geometry.node_list[node], distinct[cutoff])[columns]
         through = rows[row_of.reshape(exits.shape)[:, :, None],
@@ -321,38 +345,43 @@ class HmmMapMatcher:
                 f"no candidate edge within {self.candidate_radius} of "
                 f"point {empty[0]}; the trajectory is off the map"
             )
-        slots = np.arange(edges.shape[1])
-        valid = slots < counts[:, None]
+        valid = np.arange(edges.shape[1]) < counts[:, None]
         # -inf on padded slots keeps them out of every Viterbi max.
         emissions = np.where(valid, -0.5 * (distances / self.sigma) ** 2,
                              -np.inf)
+        self._sync_revision()
         transitions = self._transitions(geometry, points, edges,
                                         fractions, valid)
 
-        scores = emissions[0]
-        backpointers = []
-        for step in range(1, len(points)):
-            totals = scores[:, None] + transitions[step - 1]
-            pointers = np.argmax(totals, axis=0)
-            scores = totals[pointers, slots] + emissions[step]
-            backpointers.append(pointers)
-            if scores.max() == -np.inf:
-                raise ValueError(
-                    f"no connected matching through point {step}; "
-                    "the network may be disconnected along the trace"
-                )
-
-        best = int(np.argmax(scores))
+        forward = [emissions[0]]
+        for moves, emission in zip(transitions, emissions[1:]):
+            forward.append((forward[-1][:, None] + moves).max(axis=0)
+                           + emission)
+        forward = np.array(forward)
+        # A row with no finite score stays so: report the first one.
+        dead = np.flatnonzero(forward.max(axis=1) == -np.inf)
+        if len(dead):
+            raise ValueError(
+                f"no connected matching through point {dead[0]}; "
+                "the network may be disconnected along the trace"
+            )
+        # Every backpointer at once: the argmax each step's max took.
+        backpointers = np.argmax(forward[:-1, :, None] + transitions,
+                                 axis=1).tolist()
+        best = int(np.argmax(forward[-1]))
         chosen = [best]
         for pointers in reversed(backpointers):
-            best = int(pointers[best])
+            best = pointers[best]
             chosen.append(best)
         chosen.reverse()
         self._publish_cache_metrics()
+        steps = np.arange(len(chosen))
         return [
-            (*geometry.edge_list[edges[t, c]],
-             float(distances[t, c]), float(fractions[t, c]))
-            for t, c in enumerate(chosen)
+            (*geometry.edge_list[edge], distance, fraction)
+            for edge, distance, fraction in zip(
+                edges[steps, chosen].tolist(),
+                distances[steps, chosen].tolist(),
+                fractions[steps, chosen].tolist())
         ]
 
     def match_many(self, trajectories):
@@ -376,6 +405,7 @@ class HmmMapMatcher:
             raise TypeError("trajectory must be a Trajectory")
         points = [(p.x, p.y) for p in trajectory]
         check_finite_points(points, "point")
+        self._sync_revision()
         layers = []
         for index, point in enumerate(points):
             candidates = self.network.candidate_edges(
@@ -456,9 +486,10 @@ class HmmMapMatcher:
                 else:
                     extend([u, v])
             else:
-                connector = self.network.shortest_path(previous_edge[1], u)
-                extend(connector)
-                extend([v])
+                # Consecutive edges mostly share a node: no search then.
+                if previous_edge[1] != u:
+                    extend(self.network.shortest_path(previous_edge[1], u))
+                extend([u, v])
             previous_edge = edge
 
         # Collapse immediate backtracks (a, b, a -> a), an artifact of
