@@ -16,6 +16,7 @@ routes between most origin-destination pairs — with known ground truth.
 
 from __future__ import annotations
 
+import contextlib
 import heapq
 import itertools
 import math
@@ -29,17 +30,52 @@ from .._validation import check_finite_points, ensure_rng
 __all__ = ["RoadNetwork"]
 
 
+def _memoized(store, key, stamp, lock, build, *args):
+    """``build(*args)``, memoized in ``store[key]`` while ``stamp`` holds.
+
+    The one lazy-build idiom of the network's snapshots: a fast
+    unguarded read of the ``(stamp, value)`` tuple installed at
+    ``store[key]`` (one tuple, so a reader never pairs a stale stamp
+    with a fresh value), then a re-check and build under ``lock``, so
+    a build runs once however many threads race the first query.
+    """
+    entry = store.get(key)
+    if entry is None or entry[0] != stamp:
+        with lock:
+            entry = store.get(key)
+            if entry is None or entry[0] != stamp:
+                entry = store[key] = (stamp, build(*args))
+    return entry[1]
+
+
+@contextlib.contextmanager
+def _typed_path_errors(graph, *nodes):
+    """Run a networkx path search over ``nodes`` with the repo's error
+    types: :class:`KeyError` for a node not in ``graph``,
+    :class:`ValueError` when no path exists."""
+    for node in nodes:
+        if node not in graph:
+            raise KeyError(f"node {node!r} is not in the network")
+    try:
+        yield
+    except nx.NetworkXNoPath as error:
+        raise ValueError(str(error)) from error
+
+
 class _GeometryIndex:
-    """Immutable numpy snapshot of a network's geometry + uniform grid.
+    """The network's one lazily built snapshot: geometry, grid, adjacency.
 
     Built once per network revision (keyed on the graph shape and the
-    ``length`` edits) and shared by every geometric query.  The grid
-    buckets edges by their bounding boxes and nodes by their cells, so
+    ``length`` edits) and shared by every geometric query and every
+    array Dijkstra.  It fixes one node order (``node_list`` and its
+    inverse ``index_of``) for all of them.  The grid buckets edges by
+    their bounding boxes and nodes by their cells, so
     ``candidate_edges`` and ``nearest_node`` inspect only nearby cells
     instead of scanning the whole graph.
     """
 
     def __init__(self, graph, lock):
+        self._graph = graph
         self.edge_list = list(graph.edges())
         self.node_list = list(graph.nodes())
         positions = {
@@ -81,16 +117,16 @@ class _GeometryIndex:
         self._edge_hi = self._cell_of(np.maximum(self.a, self.b))
         self._lock = lock
         self._tables = {}
+        self._adjacency = {}
 
-        # Per-edge endpoint node indices (rows of ``node_list``, which is
-        # also :meth:`RoadNetwork.node_index` order) and lengths, so the
-        # map matcher never goes back to the graph per candidate.
-        # Lengths are snapshotted per revision, like Dijkstra adjacency.
-        position = {node: i for i, node in enumerate(self.node_list)}
-        self.edge_u = np.asarray([position[u] for u, _ in self.edge_list],
-                                 dtype=np.intp)
-        self.edge_v = np.asarray([position[v] for _, v in self.edge_list],
-                                 dtype=np.intp)
+        # Per-edge endpoint node indices (rows of ``node_list``) and
+        # lengths, so the map matcher never goes back to the graph per
+        # candidate.
+        self.index_of = {node: i for i, node in enumerate(self.node_list)}
+        self.edge_u = np.asarray(
+            [self.index_of[u] for u, _ in self.edge_list], dtype=np.intp)
+        self.edge_v = np.asarray(
+            [self.index_of[v] for _, v in self.edge_list], dtype=np.intp)
         self.edge_length = np.asarray(
             [length for _, _, length in graph.edges(data="length")],
             dtype=float)
@@ -152,21 +188,12 @@ class _GeometryIndex:
 
         Keyed by reach, not radius, so nearby radii share one table;
         a row covers ``(2 * reach + 1) ** 2`` cells, so memory grows
-        with the square of the reach.  Built once per index: a fast
-        unguarded read of the installed table, then a re-check and
-        build under the network's lock.
+        with the square of the reach.  Built once per index.
         """
         reach = max(math.ceil(min(radius / self.cell,
                                   max(self.nx_cells, self.ny_cells))), 0)
-        table = self._tables.get(reach)
-        if table is not None:
-            return table
-        with self._lock:
-            table = self._tables.get(reach)
-            if table is None:
-                table = self._build_candidate_table(reach)
-                self._tables[reach] = table
-            return table
+        return _memoized(self._tables, reach, None, self._lock,
+                         self._build_candidate_table, reach)
 
     def _build_candidate_table(self, reach):
         """Row ``(cx, cy)``: every edge whose bucket block, grown by
@@ -196,6 +223,26 @@ class _GeometryIndex:
         table[cells, slots] = np.repeat(
             np.arange(len(counts), dtype=np.int32), counts)[order]
         return table.reshape(self.nx_cells, self.ny_cells, -1)
+
+    def adjacency(self, weight, edits):
+        """Integer adjacency by ``weight``: ``adjacency[i]`` lists
+        ``(edge_weight, successor_index)`` over ``node_list`` rows.
+
+        One slot per weight, stamped with ``edits``, the count of
+        :meth:`RoadNetwork.set_edge_attribute` calls on ``weight``: a
+        re-weighting replaces the slot.
+        """
+        return _memoized(self._adjacency, weight, edits, self._lock,
+                         self._build_adjacency, weight)
+
+    def _build_adjacency(self, weight):
+        return [
+            [
+                (float(data[weight]), self.index_of[succ])
+                for succ, data in self._graph.adj[node].items()
+            ]
+            for node in self.node_list
+        ]
 
     #: Max (point, edge) slots projected at once by
     #: :meth:`trace_candidates`; bounds its scratch memory when a
@@ -312,8 +359,8 @@ class RoadNetwork:
     **Thread-safety contract:** every *query* method (geometry lookups,
     ``candidate_edges``, ``nearest_node``, Dijkstra variants, path
     utilities) is safe to call from many threads concurrently — the
-    lazily built geometry/adjacency snapshots are constructed under a
-    lock and installed atomically, so concurrent first callers never
+    lazily built snapshot and its tables are constructed under a lock
+    and installed atomically, so concurrent first callers never
     observe a torn snapshot and never duplicate a build.  *Mutation*
     (``set_edge_attribute``, editing ``graph`` in place,
     ``invalidate_geometry``) is not synchronized against concurrent
@@ -336,10 +383,8 @@ class RoadNetwork:
         # Per-attribute count of set_edge_attribute calls: part of the
         # key of every snapshot that reads that attribute.
         self._edits = {}
-        # (revision_key, _GeometryIndex) installed as ONE tuple so
-        # readers can never pair a stale key with a fresh index.
-        self._geometry_snapshot = None
-        self._adjacency_cache = {}
+        # The _GeometryIndex, installed by _memoized under one key.
+        self._snapshot = {}
 
     def __getstate__(self):
         """Pickle without the lock; snapshots rebuild lazily on load.
@@ -351,8 +396,7 @@ class RoadNetwork:
         state = self.__dict__.copy()
         state.pop("_cache_lock", None)
         state.pop("_edits", None)
-        state["_geometry_snapshot"] = None
-        state["_adjacency_cache"] = {}
+        state.pop("_snapshot", None)
         return state
 
     def __setstate__(self, state):
@@ -484,88 +528,19 @@ class RoadNetwork:
         return len(succ), sum(map(len, succ.values())), edits
 
     def _geometry(self):
-        """The lazily built spatial index for the current graph revision.
+        """The network's snapshot (:class:`_GeometryIndex`), lazily built.
 
-        The index caches node/edge coordinates and lengths as numpy
-        arrays plus a uniform grid, keyed on ``(n_nodes, n_edges)`` and
-        the ``"length"`` edits: adding or removing nodes/edges, or
-        setting a length through :meth:`set_edge_attribute`, rebuilds it
-        automatically.  In-place *coordinate* mutation of an existing
-        node is not detectable this way — call
-        :meth:`invalidate_geometry` after moving nodes.
-
-        Safe under concurrency: the fast path reads one atomically
-        installed ``(key, index)`` tuple; the build path serializes on
-        the cache lock and double-checks, so a rebuild runs once no
-        matter how many threads race the first query.
+        The snapshot caches node/edge coordinates and lengths as numpy
+        arrays, a uniform grid and the per-weight integer adjacency,
+        keyed on ``(n_nodes, n_edges)`` and the ``"length"`` edits:
+        adding or removing nodes/edges, or setting a length through
+        :meth:`set_edge_attribute`, rebuilds it automatically.  In-place
+        *coordinate* mutation of an existing node is not detectable this
+        way — call :meth:`invalidate_geometry` after moving nodes.
         """
-        key = self._revision("length")
-        snapshot = self._geometry_snapshot
-        if snapshot is not None and snapshot[0] == key:
-            return snapshot[1]
-        with self._cache_lock:
-            snapshot = self._geometry_snapshot
-            if snapshot is not None and snapshot[0] == key:
-                return snapshot[1]
-            index = _GeometryIndex(self._graph, self._cache_lock)
-            self._geometry_snapshot = (key, index)
-            return index
-
-    def _weighted_adjacency(self, weight="length"):
-        """Plain-dict successor lists ``{u: [(v, w), ...]}``, cached.
-
-        Dijkstra over networkx edge views spends most of its time in
-        attribute-dict indirection; snapshotting the weights once per
-        graph revision (shape and ``weight`` edits) makes repeated
-        single-source searches cheap.
-        """
-        key = self._revision(weight)
-        cached = self._adjacency_cache.get(weight)
-        if cached is not None and cached[0] == key:
-            return cached[1]
-        with self._cache_lock:
-            cached = self._adjacency_cache.get(weight)
-            if cached is not None and cached[0] == key:
-                return cached[1]
-            adjacency = {
-                node: [
-                    (succ, float(data[weight]))
-                    for succ, data in neighbors.items()
-                ]
-                for node, neighbors in self._graph._succ.items()
-            }
-            self._adjacency_cache[weight] = (key, adjacency)
-            return adjacency
-
-    def _indexed_adjacency(self, weight="length"):
-        """Integer-indexed adjacency: ``(nodes, index_of, adjacency)``.
-
-        ``adjacency[i]`` lists ``(edge_weight, successor_index)`` pairs.
-        Dense integer indices let single-source searches run over plain
-        lists and return numpy arrays, which is what the vectorized map
-        matcher gathers from.  Cached per graph revision (shape and
-        ``weight`` edits).
-        """
-        key = self._revision(weight)
-        cached = self._adjacency_cache.get(("indexed", weight))
-        if cached is not None and cached[0] == key:
-            return cached[1]
-        with self._cache_lock:
-            cached = self._adjacency_cache.get(("indexed", weight))
-            if cached is not None and cached[0] == key:
-                return cached[1]
-            nodes = list(self._graph.nodes())
-            index_of = {node: i for i, node in enumerate(nodes)}
-            adjacency = [
-                [
-                    (float(data[weight]), index_of[succ])
-                    for succ, data in self._graph.adj[node].items()
-                ]
-                for node in nodes
-            ]
-            snapshot = (nodes, index_of, adjacency)
-            self._adjacency_cache[("indexed", weight)] = (key, snapshot)
-            return snapshot
+        return _memoized(self._snapshot, "geometry",
+                         self._revision("length"), self._cache_lock,
+                         _GeometryIndex, self._graph, self._cache_lock)
 
     def node_index(self):
         """``(index_of, nodes)`` for array-based queries.
@@ -574,8 +549,8 @@ class RoadNetwork:
         by :meth:`dijkstra_array`; ``nodes[i]`` inverts the mapping.
         Stable for a given graph revision.
         """
-        nodes, index_of, _ = self._indexed_adjacency()
-        return index_of, nodes
+        geometry = self._geometry()
+        return geometry.index_of, geometry.node_list
 
     def invalidate_geometry(self):
         """Drop the cached spatial index (after in-place ``pos`` edits).
@@ -586,8 +561,7 @@ class RoadNetwork:
         stale — view, and the next query rebuilds fresh.
         """
         with self._cache_lock:
-            self._geometry_snapshot = None
-            self._adjacency_cache = {}
+            self._snapshot = {}
 
     def edge_endpoints(self, u, v):
         """Coordinates of both endpoints as two ``(x, y)`` tuples."""
@@ -672,19 +646,22 @@ class RoadNetwork:
 
     def shortest_path(self, source, target, weight="length"):
         """Dijkstra shortest path as a node list."""
-        return nx.dijkstra_path(self._graph, source, target, weight=weight)
+        with _typed_path_errors(self._graph, source, target):
+            return nx.dijkstra_path(self._graph, source, target,
+                                    weight=weight)
 
     def shortest_path_length(self, source, target, weight="length"):
-        return nx.dijkstra_path_length(self._graph, source, target,
-                                       weight=weight)
+        with _typed_path_errors(self._graph, source, target):
+            return nx.dijkstra_path_length(self._graph, source, target,
+                                           weight=weight)
 
     def k_shortest_paths(self, source, target, k, weight="length"):
         """The ``k`` shortest simple paths (Yen's algorithm via networkx)."""
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
-        generator = nx.shortest_simple_paths(self._graph, source, target,
-                                             weight=weight)
-        return list(itertools.islice(generator, k))
+        with _typed_path_errors(self._graph, source, target):
+            return list(itertools.islice(nx.shortest_simple_paths(
+                self._graph, source, target, weight=weight), k))
 
     def path_edges(self, path):
         """Convert a node path into its ``(u, v)`` edge list."""
@@ -716,44 +693,35 @@ class RoadNetwork:
         return 1.0 - len(edges_a & edges_b) / len(union)
 
     def dijkstra_all(self, source, weight="length", *, cutoff=None):
-        """Distances from ``source`` to every reachable node (lazy heap).
+        """Distances from ``source`` to every reachable node, as a dict.
 
-        With ``cutoff`` the search stops expanding past that radius:
-        every node whose true distance is ``<= cutoff`` is returned with
-        its exact distance, farther nodes are omitted.  Bounded searches
-        are what keeps map matching's transition computation cheap on
-        large networks.
+        The finite entries of the :meth:`dijkstra_array` row, keyed by
+        node.  With ``cutoff`` the search stops expanding past that
+        radius: every node whose true distance is ``<= cutoff`` is
+        returned with its exact distance, farther nodes are omitted.
+        Bounded searches are what keeps map matching's transition
+        computation cheap on large networks.
         """
-        adjacency = self._weighted_adjacency(weight)
-        distances = {source: 0.0}
-        heap = [(0.0, source)]
-        visited = set()
-        while heap:
-            d, node = heapq.heappop(heap)
-            if node in visited:
-                continue
-            visited.add(node)
-            for succ, edge_weight in adjacency.get(node, ()):
-                cost = d + edge_weight
-                if cutoff is not None and cost > cutoff:
-                    continue
-                if cost < distances.get(succ, math.inf):
-                    distances[succ] = cost
-                    heapq.heappush(heap, (cost, succ))
-        return distances
+        row = self.dijkstra_array(source, weight, cutoff=cutoff)
+        reached = np.flatnonzero(np.isfinite(row))
+        nodes = self._geometry().node_list
+        return {nodes[i]: distance for i, distance in
+                zip(reached.tolist(), row[reached].tolist())}
 
     def dijkstra_array(self, source, weight="length", *, cutoff=None):
-        """:meth:`dijkstra_all` as a dense float array over node indices.
+        """Single-source distances as a dense float array over nodes.
 
         Row order follows :meth:`node_index`; unreachable nodes (or
-        nodes beyond ``cutoff``) hold ``inf``.  Running over integer
-        adjacency lists and returning an array makes this the fast
-        distance source for the vectorized map matcher, which gathers
-        whole candidate columns at once.
+        nodes beyond ``cutoff``) hold ``inf``, and an unknown
+        ``source`` raises :class:`KeyError`.  Running over the
+        snapshot's integer adjacency and returning an array makes this
+        the fast distance source for the vectorized map matcher, which
+        gathers whole candidate columns at once.
         """
-        nodes, index_of, adjacency = self._indexed_adjacency(weight)
-        distances = [math.inf] * len(nodes)
-        source_index = index_of[source]
+        geometry = self._geometry()
+        adjacency = geometry.adjacency(weight, self._edits.get(weight, 0))
+        distances = [math.inf] * len(adjacency)
+        source_index = geometry.index_of[source]
         distances[source_index] = 0.0
         heap = [(0.0, source_index)]
         push, pop = heapq.heappush, heapq.heappop

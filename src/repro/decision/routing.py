@@ -19,11 +19,10 @@ reliable paths, loose ones favour fast-on-average paths.
 from __future__ import annotations
 
 import math
-import threading
-from collections import OrderedDict
 
 import numpy as np
 
+from .._lru import MeteredLRU
 from .._validation import check_positive
 from ..datatypes import RoadNetwork
 from .stochastic import select_best
@@ -40,8 +39,8 @@ class StochasticRouter:
 
     **Thread-safety contract:** the query methods (:meth:`best_path`,
     :meth:`route_many`, :meth:`on_time_route`, …) are safe to call
-    from many threads on one shared router; both serving memos and
-    their hit/miss counters are lock-guarded.  Distribution lookups
+    from many threads on one shared router; the serving memos are
+    lock-guarded, metered LRUs.  Distribution lookups
     stay deterministic under concurrency as long as concurrent queries
     for the same departure *window* use the same departure minute (the
     memo caches the first caller's exact minute, as documented below).
@@ -105,107 +104,35 @@ class StochasticRouter:
         self.reduction = (None if reduction is None
                           else int(check_positive(reduction,
                                                   "reduction")))
-        self._memo_lock = threading.RLock()
-        self._path_memo = OrderedDict()
-        self._distribution_memo = OrderedDict()
-        self._reduction_memo = OrderedDict()
-        self._memo_hits = 0
-        self._memo_misses = 0
-        self._published_hits = 0
-        self._published_misses = 0
-
-    def __getstate__(self):
-        """Pickle without the lock or the warm memos (rebuilt lazily)."""
-        state = self.__dict__.copy()
-        state.pop("_memo_lock", None)
-        state["_path_memo"] = OrderedDict()
-        state["_distribution_memo"] = OrderedDict()
-        state["_reduction_memo"] = OrderedDict()
-        state["_memo_hits"] = state["_memo_misses"] = 0
-        state["_published_hits"] = state["_published_misses"] = 0
-        return state
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
-        self._memo_lock = threading.RLock()
+        self._memos = tuple(
+            MeteredLRU(self.memo_size, "decision.router_memo_lookups_total",
+                       "StochasticRouter serving-memo lookups by outcome")
+            for _ in range(3))
+        self._path_memo, self._distribution_memo, self._reduction_memo = \
+            self._memos
 
     # -- serving memos -----------------------------------------------------
     #
-    # Probe / insert / evict and the hit/miss counters all run under
-    # the memo lock; the expensive work on a miss (Yen's algorithm,
-    # distribution fits) runs outside it, so concurrent misses on the
-    # same key may duplicate compute but never corrupt the memo.
-
-    def _memo_get(self, memo, key):
-        if self.memo_size == 0:
-            return None
-        with self._memo_lock:
-            value = memo.get(key)
-            if value is not None:
-                memo.move_to_end(key)
-                self._memo_hits += 1
-            else:
-                self._memo_misses += 1
-            return value
-
-    def _memo_put(self, memo, key, value):
-        if self.memo_size == 0:
-            return
-        with self._memo_lock:
-            memo[key] = value
-            memo.move_to_end(key)
-            while len(memo) > self.memo_size:
-                memo.popitem(last=False)
-
-    def _publish_memo_metrics(self):
-        """Flush memo hit/miss deltas to the global metrics registry.
-
-        Called once per served query, not per memo probe, so serving
-        at cache speed never pays for a labeled counter in the loop;
-        the ``decision.router_memo_lookups_total`` series lags the
-        in-flight query by at most one flush.
-        """
-        from ..observability.metrics import get_registry
-
-        with self._memo_lock:
-            hits = self._memo_hits - self._published_hits
-            misses = self._memo_misses - self._published_misses
-            if not hits and not misses:
-                return
-            self._published_hits = self._memo_hits
-            self._published_misses = self._memo_misses
-        counter = get_registry().counter(
-            "decision.router_memo_lookups_total",
-            "StochasticRouter serving-memo lookups by outcome")
-        if hits:
-            counter.inc(hits, outcome="hit")
-        if misses:
-            counter.inc(misses, outcome="miss")
+    # Three LRUs publishing to one counter; the expensive work on a
+    # miss (Yen's algorithm, distribution fits, reductions) runs
+    # outside their locks.
 
     def cache_info(self):
         """Serving-memo observability: hits, misses and sizes."""
-        self._publish_memo_metrics()
-        with self._memo_lock:
-            return {
-                "hits": self._memo_hits,
-                "misses": self._memo_misses,
-                "path_memo_size": len(self._path_memo),
-                "distribution_memo_size": len(self._distribution_memo),
-                "reduction_memo_size": len(self._reduction_memo),
-                "maxsize": self.memo_size,
-            }
+        infos = [memo.info() for memo in self._memos]
+        return {
+            "hits": sum(info["hits"] for info in infos),
+            "misses": sum(info["misses"] for info in infos),
+            "path_memo_size": infos[0]["size"],
+            "distribution_memo_size": infos[1]["size"],
+            "reduction_memo_size": infos[2]["size"],
+            "maxsize": self.memo_size,
+        }
 
     def clear_cache(self):
         """Drop the memos (call after mutating network or cost model)."""
-        self._publish_memo_metrics()
-        with self._memo_lock:
-            self._path_memo.clear()
-            self._distribution_memo.clear()
-            self._reduction_memo.clear()
-            self._memo_hits = 0
-            self._memo_misses = 0
-            self._published_hits = 0
-            self._published_misses = 0
+        for memo in self._memos:
+            memo.clear()
 
     def _path_distribution(self, path, departure_minute):
         """Content-keyed, departure-windowed distribution lookup.
@@ -217,7 +144,7 @@ class StochasticRouter:
         window = int(math.floor(
             float(departure_minute) / self.memo_window_minutes))
         key = (tuple(path), window)
-        cached = self._memo_get(self._distribution_memo, key)
+        cached = self._distribution_memo.get(key)
         if cached is not None:
             return cached
         try:
@@ -225,7 +152,7 @@ class StochasticRouter:
                 path, departure_minute)
         except KeyError:
             distribution = _UNCOVERED
-        self._memo_put(self._distribution_memo, key, distribution)
+        self._distribution_memo.put(key, distribution)
         return distribution
 
     def candidate_paths(self, origin, destination):
@@ -236,12 +163,12 @@ class StochasticRouter:
         repeats OD pairs constantly.
         """
         key = (origin, destination)
-        cached = self._memo_get(self._path_memo, key)
+        cached = self._path_memo.get(key)
         if cached is None:
             cached = self.network.k_shortest_paths(origin, destination,
                                                    self.n_candidates,
                                                    weight=self.weight)
-            self._memo_put(self._path_memo, key, cached)
+            self._path_memo.put(key, cached)
         return cached
 
     def candidate_distributions(self, origin, destination,
@@ -274,7 +201,7 @@ class StochasticRouter:
         shrink the ensemble.  Keyed like the distribution memo —
         ``(origin, destination, departure-window)`` — so repeated
         traffic reuses one reduction per key; the expensive W1 forward
-        selection runs outside the memo lock (concurrent misses may
+        selection runs outside the memo's lock (concurrent misses may
         duplicate compute but never corrupt the memo).  A cached
         reduction whose input size no longer matches the live
         candidate pool (possible after memo eviction races) is
@@ -285,13 +212,13 @@ class StochasticRouter:
         window = int(math.floor(
             float(departure_minute) / self.memo_window_minutes))
         key = (origin, destination, window)
-        cached = self._memo_get(self._reduction_memo, key)
+        cached = self._reduction_memo.get(key)
         if cached is not None and cached.n_input == len(distributions):
             return cached
         from .reduction import reduce_scenarios
 
         reduction = reduce_scenarios(distributions, self.reduction)
-        self._memo_put(self._reduction_memo, key, reduction)
+        self._reduction_memo.put(key, reduction)
         return reduction
 
     def best_path(self, origin, destination, utility, *,
@@ -312,7 +239,8 @@ class StochasticRouter:
             origin, destination, departure_minute, distributions)
         best, value, _ = select_best(distributions, utility,
                                      prune=prune, reduction=reduction)
-        self._publish_memo_metrics()
+        for memo in self._memos:
+            memo.publish()
         return paths[best], distributions[best], value
 
     def route_many(self, queries, utility, *, prune=True):

@@ -19,7 +19,6 @@ item?
 from __future__ import annotations
 
 import numpy as np
-from scipy import linalg
 
 from ..._validation import as_float_array, check_positive
 
@@ -80,6 +79,8 @@ class CcaAligner:
         cxy = xc.T @ yc / n
 
         # Whiten, then SVD of the cross-covariance.
+        from scipy import linalg
+
         cxx_inv_half = linalg.fractional_matrix_power(cxx, -0.5).real
         cyy_inv_half = linalg.fractional_matrix_power(cyy, -0.5).real
         core = cxx_inv_half @ cxy @ cyy_inv_half

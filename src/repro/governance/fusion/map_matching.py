@@ -41,11 +41,10 @@ not already meet at a node.
 from __future__ import annotations
 
 import math
-import threading
-from collections import OrderedDict
 
 import numpy as np
 
+from ..._lru import MeteredLRU
 from ..._validation import check_finite_points, check_positive
 from ...datatypes import RoadNetwork, Trajectory
 
@@ -105,27 +104,9 @@ class HmmMapMatcher:
         )
         self.distance_cache_size = int(check_positive(
             distance_cache_size, "distance_cache_size"))
-        self._cache_lock = threading.RLock()
-        self._distance_cache = OrderedDict()
-        self._cache_hits = 0
-        self._cache_misses = 0
-        self._published_hits = 0
-        self._published_misses = 0
-        self._revision = None
-
-    def __getstate__(self):
-        """Pickle without the lock or the warm LRU (rebuilt lazily)."""
-        state = self.__dict__.copy()
-        state.pop("_cache_lock", None)
-        state["_distance_cache"] = OrderedDict()
-        state["_cache_hits"] = state["_cache_misses"] = 0
-        state["_published_hits"] = state["_published_misses"] = 0
-        state["_revision"] = None
-        return state
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
-        self._cache_lock = threading.RLock()
+        self._distances = MeteredLRU(
+            self.distance_cache_size, "fusion.distance_cache_lookups_total",
+            "HmmMapMatcher distance-LRU lookups by outcome")
 
     # -- internals -----------------------------------------------------------
 
@@ -137,36 +118,20 @@ class HmmMapMatcher:
         computed with a larger (or unbounded) cutoff serves any smaller
         request *masked down to that cutoff*, so the returned row is
         byte-identical to a fresh bounded search no matter what the
-        cache happens to hold; a larger request recomputes and replaces
-        the entry.
-
-        Thread-safe: cache probes, LRU reordering, eviction and the
-        hit/miss counters all happen under the cache lock.  The Dijkstra
-        itself runs *outside* the lock — two threads missing on the same
-        node may duplicate that work, but the cache never corrupts and
-        the counters still account every lookup exactly once.
+        cache happens to hold; a larger request counts as a miss,
+        recomputes and replaces the entry.  The Dijkstra runs outside
+        the LRU's lock.
         """
-        with self._cache_lock:
-            entry = self._distance_cache.get(node)
-            if entry is not None:
-                cached_cutoff, distances = entry
-                if cached_cutoff is None or (
-                        cutoff is not None and cached_cutoff >= cutoff):
-                    self._distance_cache.move_to_end(node)
-                    self._cache_hits += 1
-                    if cutoff is not None and (
-                            cached_cutoff is None
-                            or cached_cutoff > cutoff):
-                        return np.where(distances <= cutoff,
-                                        distances, np.inf)
-                    return distances
-            self._cache_misses += 1
+        entry = self._distances.get(node, lambda entry: (
+            entry[0] is None or (cutoff is not None and entry[0] >= cutoff)))
+        if entry is not None:
+            cached_cutoff, distances = entry
+            if cutoff is not None and (
+                    cached_cutoff is None or cached_cutoff > cutoff):
+                return np.where(distances <= cutoff, distances, np.inf)
+            return distances
         distances = self.network.dijkstra_array(node, cutoff=cutoff)
-        with self._cache_lock:
-            self._distance_cache[node] = (cutoff, distances)
-            self._distance_cache.move_to_end(node)
-            while len(self._distance_cache) > self.distance_cache_size:
-                self._distance_cache.popitem(last=False)
+        self._distances.put(node, (cutoff, distances))
         return distances
 
     def _sync_revision(self):
@@ -176,11 +141,7 @@ class HmmMapMatcher:
         shape and how often lengths were set): checked once per trace,
         since mutation is quiesced against queries.
         """
-        revision = self.network._revision("length")
-        with self._cache_lock:
-            if revision != self._revision:
-                self._distance_cache.clear()
-                self._revision = revision
+        self._distances.sync(self.network._revision("length"))
 
     def _cutoff_for(self, straight):
         """Dijkstra radii for steps of straight-line lengths ``straight``.
@@ -197,55 +158,13 @@ class HmmMapMatcher:
         exact = np.asarray(straight) + self.beta_cutoff * self.beta
         return quantum * np.ceil(exact / quantum)
 
-    def _publish_cache_metrics(self):
-        """Flush hit/miss deltas to the global metrics registry.
-
-        Called once per matched trajectory (not per lookup) so the
-        Dijkstra hot loop never pays for a labeled counter; the
-        ``fusion.distance_cache_lookups_total`` series therefore lags
-        the in-flight trace by at most one flush.
-
-        The delta read and the published-watermark advance happen
-        atomically under the cache lock, so concurrent flushers never
-        double- or under-count a lookup; the (thread-safe) counter
-        increments run outside the lock.
-        """
-        from ...observability.metrics import get_registry
-
-        with self._cache_lock:
-            hits = self._cache_hits - self._published_hits
-            misses = self._cache_misses - self._published_misses
-            if not hits and not misses:
-                return
-            self._published_hits = self._cache_hits
-            self._published_misses = self._cache_misses
-        counter = get_registry().counter(
-            "fusion.distance_cache_lookups_total",
-            "HmmMapMatcher distance-LRU lookups by outcome")
-        if hits:
-            counter.inc(hits, outcome="hit")
-        if misses:
-            counter.inc(misses, outcome="miss")
-
     def cache_info(self):
         """Distance-cache observability: hits, misses, size, maxsize."""
-        self._publish_cache_metrics()
-        with self._cache_lock:
-            return {
-                "hits": self._cache_hits,
-                "misses": self._cache_misses,
-                "size": len(self._distance_cache),
-                "maxsize": self.distance_cache_size,
-            }
+        return {**self._distances.info(),
+                "maxsize": self.distance_cache_size}
 
     def clear_cache(self):
-        self._publish_cache_metrics()
-        with self._cache_lock:
-            self._distance_cache.clear()
-            self._cache_hits = 0
-            self._cache_misses = 0
-            self._published_hits = 0
-            self._published_misses = 0
+        self._distances.clear()
 
     def _route_distance(self, candidate_a, candidate_b, cutoff=None):
         """Network distance between two on-edge positions."""
@@ -374,7 +293,7 @@ class HmmMapMatcher:
             best = pointers[best]
             chosen.append(best)
         chosen.reverse()
-        self._publish_cache_metrics()
+        self._distances.publish()
         steps = np.arange(len(chosen))
         return [
             (*geometry.edge_list[edge], distance, fraction)

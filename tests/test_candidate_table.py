@@ -245,18 +245,22 @@ class TestEditKeyedSnapshots:
     def test_other_attributes_rebuild_nothing_length_keyed(self):
         network = RoadNetwork.grid(4, 4)
         geometry = network._geometry()
-        adjacency = network._indexed_adjacency()
+        network.dijkstra_array((0, 0))
+        adjacency = geometry._adjacency["length"][1]
         table = geometry.candidate_table(0.5)
         for u, v in network.edges():
             network.set_edge_attribute(u, v, "time", 2.0)
             network.set_edge_attribute(u, v, "energy", 3.0)
+        network.dijkstra_array((0, 0))
         assert network._geometry() is geometry
-        assert network._indexed_adjacency() is adjacency
+        assert geometry._adjacency["length"][1] is adjacency
         assert geometry.candidate_table(0.5) is table
         network.set_edge_attribute((0, 0), (0, 1), "length", 2.5)
+        network.dijkstra_array((0, 0))
         assert network._geometry() is not geometry
         assert network._geometry().edge_length.max() == 2.5
-        assert network._indexed_adjacency() is not adjacency
+        assert network._geometry()._adjacency["length"][1] \
+            is not adjacency
 
     def test_matcher_after_a_length_edit_equals_a_fresh_one(self):
         rng = np.random.default_rng(21)

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from repro import RoadNetwork
+from repro import DecisionServer, RoadNetwork
 from repro.datasets import TrafficSimulator
-from repro.governance.uncertainty import PathCentricModel
+from repro.governance.uncertainty import EdgeCentricModel, PathCentricModel
 from repro.decision import (
     ContextualPreferenceModel,
     DeadlineUtility,
@@ -17,6 +17,7 @@ from repro.decision import (
     pareto_front,
     scalarize,
 )
+from repro.serve import RouteQuery
 
 
 @pytest.fixture(scope="module")
@@ -317,3 +318,81 @@ class TestImitation:
         network, _ = biased_experts
         with pytest.raises(ValueError):
             ImitationRouter(network).fit([])
+
+
+@pytest.fixture(scope="module")
+def one_way_setup():
+    """A one-way grid: (5, 5) is reachable from (0, 0), not back."""
+    network = RoadNetwork.grid(6, 6, bidirectional=False)
+    simulator = TrafficSimulator(network, rng=np.random.default_rng(3))
+    rng = np.random.default_rng(4)
+    trips = []
+    for path in network.k_shortest_paths((0, 0), (5, 5), 4):
+        edges = network.path_edges(path)
+        for _ in range(25):
+            trips.append((path, simulator.sample_edge_times(
+                edges, departure_minute=480, rng=rng), 480.0))
+    return network, EdgeCentricModel(n_bins=30).fit(trips)
+
+
+#: Routable, unreachable, unknown origin, unknown destination, routable.
+ONE_WAY_QUERIES = [((0, 0), (5, 5), 480.0), ((5, 5), (0, 0), 480.0),
+                   ((9, 9), (0, 0), 480.0), ((0, 0), (9, 9), 480.0),
+                   ((0, 0), (4, 5), 480.0)]
+
+
+class TestUnroutableQueries:
+    def test_path_searches_raise_typed_errors(self, one_way_setup):
+        network, _ = one_way_setup
+        for search in (network.shortest_path,
+                       network.shortest_path_length,
+                       lambda s, t: network.k_shortest_paths(s, t, 3)):
+            with pytest.raises(ValueError):
+                search((5, 5), (0, 0))
+            with pytest.raises(KeyError):
+                search((9, 9), (0, 0))
+            with pytest.raises(KeyError):
+                search((0, 0), (9, 9))
+
+    def test_bad_query_yields_none_and_spares_the_batch(
+            self, one_way_setup):
+        network, model = one_way_setup
+        utility = DeadlineUtility(12.0)
+        results = StochasticRouter(network, model, n_candidates=4) \
+            .route_many(ONE_WAY_QUERIES, utility)
+        assert results[1:4] == [None, None, None]
+        for index in (0, 4):
+            origin, destination, minute = ONE_WAY_QUERIES[index]
+            path, distribution, value = StochasticRouter(
+                network, model, n_candidates=4).best_path(
+                    origin, destination, utility,
+                    departure_minute=minute)
+            assert results[index][0] == path
+            np.testing.assert_array_equal(results[index][1].support,
+                                          distribution.support)
+            np.testing.assert_array_equal(
+                results[index][1].probabilities,
+                distribution.probabilities)
+            assert results[index][2] == value
+
+    def test_served_batch_resolves_every_member(self, one_way_setup):
+        network, model = one_way_setup
+        utility = DeadlineUtility(12.0)
+        oracle = StochasticRouter(network, model, n_candidates=4)
+        expected = oracle.route_many(ONE_WAY_QUERIES, utility)
+        router = StochasticRouter(network, model, n_candidates=4)
+        # The batch closes on size: all five members share one call.
+        with DecisionServer(router=router, utility=utility,
+                            batch_window=30.0,
+                            max_batch=len(ONE_WAY_QUERIES)) as server:
+            futures = [server.submit(RouteQuery(*query))
+                       for query in ONE_WAY_QUERIES]
+            results = [future.result() for future in futures]
+        assert [result.outcome for result in results] == ["ok"] * 5
+        assert [result.batch_size for result in results] == [5] * 5
+        assert [result.value is None for result in results] == \
+            [want is None for want in expected]
+        for result, want in zip(results, expected):
+            if want is not None:
+                assert result.value[0] == want[0]
+                assert result.value[2] == want[2]
