@@ -275,6 +275,64 @@ class Histogram:
                          probabilities[keep])
 
 
+def _grouped_histograms(values, sizes, n_bins):
+    """``Histogram.from_samples(group, n_bins)`` of every group at once.
+
+    ``values`` holds the groups back to back and ``sizes`` their
+    (positive) lengths.  One pass reproduces, row by row, what
+    ``from_samples`` does per group: the padded range, the ``linspace``
+    edges, and ``np.histogram``'s uniform-bin rule with its ±1 index
+    corrections and inclusive last bin, so every histogram is
+    bit-identical to the per-group one.
+    """
+    sizes = np.asarray(sizes, dtype=np.intp)
+    if not len(sizes):
+        return []
+    bounds = np.cumsum(sizes) - sizes
+    low = np.minimum.reduceat(values, bounds)
+    high = np.maximum.reduceat(values, bounds)
+    high = np.where(high == low, low + 1e-9, high)
+    with np.errstate(over="ignore"):  # an overflow raises just below
+        span = high - low
+    low = low - 1e-9 * span
+    high = high + 1e-9 * span
+    infinite = np.flatnonzero(~(np.isfinite(low) & np.isfinite(high)))
+    if len(infinite):
+        row = infinite[0]
+        raise ValueError(f"supplied range of [{low[row]}, {high[row]}] "
+                         f"is not finite")
+    # np.histogram widens a range that is still empty by 0.5 each way.
+    flat = low == high
+    low = np.where(flat, low - 0.5, low)
+    high = np.where(flat, high + 0.5, high)
+    # np.linspace(low, high, n_bins + 1) per row, denormal branch too.
+    delta = high - low
+    ramp = np.arange(n_bins + 1, dtype=float)
+    step = (delta / n_bins)[:, None]
+    edges = np.where(step == 0, ramp / n_bins * delta[:, None],
+                     ramp * step)
+    edges += low[:, None]
+    edges[:, -1] = high
+    if np.any(edges[:, :-1] >= edges[:, 1:]):
+        raise ValueError(f"Too many bins for data range. Cannot create "
+                         f"{n_bins} finite-sized bins.")
+    group = np.repeat(np.arange(len(sizes)), sizes)
+    index = ((values - low[group]) / delta[group] * n_bins).astype(np.intp)
+    index[index == n_bins] -= 1
+    index[values < edges[group, index]] -= 1
+    index[(values >= edges[group, index + 1]) & (index != n_bins - 1)] += 1
+    counts = np.bincount(group * n_bins + index,
+                         minlength=len(sizes) * n_bins)
+    counts = counts.reshape(len(sizes), n_bins)
+    width = edges[:, 1] - edges[:, 0]
+    centers = edges[:, 0] + width / 2
+    probabilities = counts / counts.sum(axis=1, keepdims=True)
+    return [
+        Histogram(center, bin_width, row)
+        for center, bin_width, row in zip(centers, width, probabilities)
+    ]
+
+
 class GaussianMixture:
     """A univariate Gaussian mixture fit by expectation-maximization.
 

@@ -22,10 +22,12 @@ or by map-matched GPS traces.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from ..._validation import check_positive, trapezoid
-from .distributions import Histogram
+from .distributions import GaussianMixture, _grouped_histograms
 
 __all__ = [
     "TimeVaryingDistribution",
@@ -34,8 +36,9 @@ __all__ = [
     "wasserstein_distance",
 ]
 
-#: Whole-day fallback interval (minutes).
-_FULL_DAY = ((0.0, 24 * 60.0),)
+#: Minutes per day, and the whole-day fallback interval.
+_DAY = 24 * 60.0
+_FULL_DAY = ((0.0, _DAY),)
 
 
 def wasserstein_distance(first, second, *, n_grid=400):
@@ -80,92 +83,184 @@ class TimeVaryingDistribution:
 
     def at(self, minute):
         """The distribution in force at ``minute`` (of day)."""
-        minute = float(minute) % (24 * 60)
-        for (start, end), distribution in zip(self.intervals,
-                                              self.distributions):
-            if start <= minute < end:
-                return distribution
-        # Fall back to the interval whose midpoint is closest.
-        gaps = [
-            abs((start + end) / 2 - minute)
-            for start, end in self.intervals
-        ]
-        return self.distributions[int(np.argmin(gaps))]
+        return self.distributions[_interval_index(self.intervals, minute)]
 
 
-class _TraversalStore:
-    """Shared bookkeeping: per-key, per-interval traversal-time samples.
+def _interval_index(intervals, minutes):
+    """The interval ``minutes`` (taken modulo one day) fall in.
+
+    A minute inside no interval gets the one whose midpoint is nearest,
+    the first of them on a tie; one inside several gets the first.
+    Works elementwise on an array and returns a 0-d index for a scalar.
+    """
+    minutes = np.mod(minutes, _DAY)
+    index = np.argmin([abs((start + end) / 2 - minutes)
+                       for start, end in intervals], axis=0)
+    for position in range(len(intervals) - 1, -1, -1):
+        start, end = intervals[position]
+        index = np.where((start <= minutes) & (minutes < end), position,
+                         index)
+    return index
+
+
+def _trips_by_path(trips):
+    """Validate ``(path, edge_times, departure_minute)`` trips and group
+    them by path, in first-seen order.
+
+    Returns ``{path: (trip_indices, edge_times, departures)}`` and the
+    number of trips.  Every trip is checked before anything is returned,
+    so a bad trip leaves the caller's model as it was.
+    """
+    groups = {}
+    n_trips = 0
+    for index, (path, edge_times, departure) in enumerate(trips):
+        n_trips += 1
+        path = tuple(path)
+        times = np.asarray(edge_times, dtype=float)
+        if times.shape != (max(len(path) - 1, 0),):
+            raise ValueError(
+                f"trip {index}: edge_times must match the path edges")
+        departure = float(departure)
+        if not (math.isfinite(departure) and np.isfinite(times).all()):
+            raise ValueError(
+                f"trip {index}: edge times and departure must be finite")
+        indices, stack, departures = groups.setdefault(path, ([], [], []))
+        indices.append(index)
+        stack.append(times)
+        departures.append(departure)
+    if n_trips == 0:
+        raise ValueError("fit needs at least one trip")
+    return groups, n_trips
+
+
+class _TravelTimeModel:
+    """The fit both paradigms share: every traversal of every key
+    (an edge or a sub-path), binned per interval of the day, in one
+    columnar pass.
 
     ``representation`` selects how the empirical samples are summarized
     — ``"histogram"`` (default) or ``"gmm"`` (a Gaussian mixture fit by
     EM, then discretized so the Histogram algebra still applies); the
-    two options the paper names for uncertainty quantification.
+    two options the paper names for uncertainty quantification.  A
+    fitted model keeps only its distributions, never the samples.
     """
 
-    def __init__(self, intervals, n_bins, representation="histogram",
-                 n_components=2):
+    def __init__(self, intervals, n_bins, representation, n_components):
+        check_positive(n_bins, "n_bins")
         if representation not in ("histogram", "gmm"):
             raise ValueError(
                 f"representation must be 'histogram' or 'gmm', "
                 f"got {representation!r}"
             )
-        self.intervals = [tuple(map(float, pair)) for pair in intervals]
-        self.n_bins = int(n_bins)
-        self.representation = representation
-        self.n_components = int(n_components)
-        self._samples = {}
+        self._intervals = [tuple(map(float, pair)) for pair in intervals]
+        self._n_bins = int(n_bins)
+        self._representation = representation
+        self._n_components = int(n_components)
+        self._fitted = {}
 
-    def _interval_index(self, minute):
-        minute = float(minute) % (24 * 60)
-        for index, (start, end) in enumerate(self.intervals):
-            if start <= minute < end:
-                return index
-        midpoints = [
-            abs((start + end) / 2 - minute) for start, end in self.intervals
-        ]
-        return int(np.argmin(midpoints))
+    def _spans(self, times, departures):
+        """``(begin, end, durations, minutes)`` of the keys one path
+        yields, for an ``(n, E)`` stack of its trips' edge times."""
+        raise NotImplementedError
 
-    def add(self, key, minute, value):
-        bucket = self._samples.setdefault(key, {})
-        bucket.setdefault(self._interval_index(minute), []).append(
-            float(value))
+    def _traversals(self, trips):
+        """Every traversal of every key, in the order the trips make
+        them: trip by trip, and along each trip as ``_spans`` lists
+        them.
 
-    def count(self, key):
-        bucket = self._samples.get(key)
-        if not bucket:
-            return 0
-        return sum(len(samples) for samples in bucket.values())
+        Returns the keys in first-seen order and three aligned arrays:
+        each traversal's key index, duration and start minute.
+        """
+        groups, n_trips = _trips_by_path(trips)
+        keys = {}
+        n_spans = np.zeros(n_trips, dtype=np.intp)
+        blocks = []
+        for path, (indices, stack, departures) in groups.items():
+            if len(path) < 2:
+                continue
+            begin, end, durations, minutes = self._spans(
+                np.array(stack), np.array(departures))
+            ids = [keys.setdefault(path[b:e + 1], len(keys))
+                   for b, e in zip(begin, end)]
+            n_spans[indices] = len(ids)
+            blocks.append((indices, ids, durations, minutes))
+        offsets = np.cumsum(n_spans) - n_spans
+        key_of = np.empty(int(n_spans.sum()), dtype=np.intp)
+        value = np.empty(len(key_of))
+        minute = np.empty(len(key_of))
+        for indices, ids, durations, minutes in blocks:
+            rank = (offsets[indices][:, None] + np.arange(len(ids))).ravel()
+            key_of[rank] = np.tile(ids, len(indices))
+            value[rank] = durations.ravel()
+            minute[rank] = minutes.ravel()
+        return list(keys), key_of, value, minute
 
-    def _summarize(self, samples):
-        samples = np.asarray(samples)
-        if self.representation == "gmm" and \
-                len(samples) >= 3 * self.n_components:
-            from .distributions import GaussianMixture
+    def _fit(self, trips, min_support):
+        """``{key: TimeVaryingDistribution}`` over every edge and every
+        key traversed at least ``min_support`` times.
 
-            mixture = GaussianMixture.fit(
-                samples, self.n_components,
-                rng=np.random.default_rng(len(samples)))
-            return mixture.to_histogram(self.n_bins)
-        return Histogram.from_samples(samples, n_bins=self.n_bins)
+        Keys keep first-seen order, and each (key, interval) group its
+        samples in traversal order, which the EM fit of ``"gmm"``
+        depends on.
+        """
+        keys, key_of, value, minute = self._traversals(trips)
+        counts = np.bincount(key_of, minlength=len(keys))
+        kept = np.array([len(key) == 2 or count >= min_support
+                         for key, count in zip(keys, counts)], dtype=bool)
+        chosen = kept[key_of]
+        n_intervals = len(self._intervals)
+        group = key_of[chosen] * n_intervals + _interval_index(
+            self._intervals, minute[chosen])
+        order = np.argsort(group, kind="stable")
+        group, value = group[order], value[chosen][order]
+        first = np.flatnonzero(np.diff(group, prepend=-1))
+        sizes = np.diff(np.r_[first, len(group)])
+        seg_key, seg_interval = np.divmod(group[first], n_intervals)
+        # A key with an empty interval falls back there to all of its
+        # samples, pooled in first-seen-interval order.
+        short = np.bincount(seg_key, minlength=len(keys)) < n_intervals
+        fallback_keys = np.flatnonzero(short & kept)
+        pooled = np.flatnonzero(short[seg_key])
+        pooled = pooled[np.lexsort((order[first[pooled]], seg_key[pooled]))]
+        pooled_sizes = sizes[pooled]
+        gather = np.repeat(first[pooled] - np.cumsum(pooled_sizes)
+                           + pooled_sizes, pooled_sizes)
+        gather += np.arange(len(gather))
+        summaries = self._summaries(
+            np.concatenate([value, value[gather]]),
+            np.concatenate([sizes, counts[fallback_keys]]))
+        table = {key: [None] * n_intervals for key in seg_key}
+        for summary, key, interval in zip(summaries, seg_key, seg_interval):
+            table[key][interval] = summary
+        for key, fallback in zip(fallback_keys, summaries[len(sizes):]):
+            table[key] = [fallback if summary is None else summary
+                          for summary in table[key]]
+        return {
+            keys[key]: TimeVaryingDistribution(self._intervals, table[key])
+            for key in np.flatnonzero(kept)
+        }
 
-    def distribution(self, key):
-        """Build the fitted :class:`TimeVaryingDistribution` for ``key``."""
-        bucket = self._samples.get(key)
-        if not bucket:
-            return None
-        pooled = [v for samples in bucket.values() for v in samples]
-        fallback = self._summarize(pooled)
-        distributions = []
-        for index in range(len(self.intervals)):
-            samples = bucket.get(index)
-            if samples:
-                distributions.append(self._summarize(samples))
-            else:
-                distributions.append(fallback)
-        return TimeVaryingDistribution(self.intervals, distributions)
+    def _summaries(self, values, sizes):
+        """One distribution per contiguous group of ``values``."""
+        mixture = ((self._representation == "gmm")
+                   & (sizes >= 3 * self._n_components))
+        plain = np.flatnonzero(~mixture)
+        summaries = [None] * len(sizes)
+        histograms = _grouped_histograms(
+            values[np.repeat(~mixture, sizes)], sizes[plain], self._n_bins)
+        for index, histogram in zip(plain, histograms):
+            summaries[index] = histogram
+        bounds = np.cumsum(sizes) - sizes
+        for index in np.flatnonzero(mixture):
+            samples = values[bounds[index]:bounds[index] + sizes[index]]
+            summaries[index] = GaussianMixture.fit(
+                samples, self._n_components,
+                rng=np.random.default_rng(len(samples)),
+            ).to_histogram(self._n_bins)
+        return summaries
 
 
-class EdgeCentricModel:
+class EdgeCentricModel(_TravelTimeModel):
     """Per-edge ``(I, D)`` travel-time distributions, edges independent.
 
     Parameters
@@ -178,29 +273,21 @@ class EdgeCentricModel:
 
     def __init__(self, *, intervals=_FULL_DAY, n_bins=25,
                  representation="histogram", n_components=2):
-        check_positive(n_bins, "n_bins")
-        self._store = _TraversalStore(intervals, n_bins,
-                                      representation, n_components)
-        self._fitted = {}
+        super().__init__(intervals, n_bins, representation, n_components)
+
+    def _spans(self, times, departures):
+        # The clock runs edge by edge: departure + d0 + d1 + ...
+        clock = np.cumsum(np.column_stack([departures, times]), axis=1)
+        begin = np.arange(times.shape[1])
+        return begin, begin + 1, times, clock[:, :-1]
 
     def fit(self, trips):
-        """Fit from ``(path, edge_times, departure_minute)`` triples."""
-        n_trips = 0
-        for path, edge_times, departure in trips:
-            n_trips += 1
-            minute = float(departure)
-            edges = list(zip(path, path[1:]))
-            if len(edge_times) != len(edges):
-                raise ValueError("edge_times must match the path edges")
-            for edge, duration in zip(edges, edge_times):
-                self._store.add(edge, minute, duration)
-                minute += float(duration)
-        if n_trips == 0:
-            raise ValueError("fit needs at least one trip")
-        self._fitted = {
-            key: self._store.distribution(key)
-            for key in self._store._samples
-        }
+        """Fit from ``(path, edge_times, departure_minute)`` triples.
+
+        Replaces any earlier fit.  Every trip is validated first; on a
+        ``ValueError`` the model answers exactly as before.
+        """
+        self._fitted = self._fit(trips, min_support=1)
         return self
 
     @property
@@ -233,7 +320,7 @@ class EdgeCentricModel:
         return result
 
 
-class PathCentricModel:
+class PathCentricModel(_TravelTimeModel):
     """PACE-style joint distributions over frequent sub-paths.
 
     Sub-paths of length up to ``max_subpath_edges`` that were traversed
@@ -254,35 +341,31 @@ class PathCentricModel:
             raise ValueError("max_subpath_edges must be >= 1")
         if min_support < 1:
             raise ValueError("min_support must be >= 1")
+        super().__init__(intervals, n_bins, representation, n_components)
         self.max_subpath_edges = int(max_subpath_edges)
         self.min_support = int(min_support)
-        self._store = _TraversalStore(intervals, n_bins,
-                                      representation, n_components)
-        self._fitted = {}
+
+    def _spans(self, times, departures):
+        # Every sub-path of up to max_subpath_edges edges: a column
+        # difference of the trips' elapsed-time offsets.
+        n_edges = times.shape[1]
+        begin, end = np.array([
+            (b, e) for b in range(n_edges)
+            for e in range(b + 1, min(n_edges, b + self.max_subpath_edges)
+                           + 1)
+        ]).T
+        offsets = np.zeros((len(times), n_edges + 1))
+        np.cumsum(times, axis=1, out=offsets[:, 1:])
+        return (begin, end, offsets[:, end] - offsets[:, begin],
+                departures[:, None] + offsets[:, begin])
 
     def fit(self, trips):
-        """Fit from ``(path, edge_times, departure_minute)`` triples."""
-        n_trips = 0
-        for path, edge_times, departure in trips:
-            n_trips += 1
-            edges = list(zip(path, path[1:]))
-            if len(edge_times) != len(edges):
-                raise ValueError("edge_times must match the path edges")
-            starts = np.concatenate([[0.0], np.cumsum(edge_times)])
-            for begin in range(len(edges)):
-                limit = min(len(edges), begin + self.max_subpath_edges)
-                for end in range(begin + 1, limit + 1):
-                    key = tuple(path[begin:end + 1])
-                    minute = float(departure) + float(starts[begin])
-                    duration = float(starts[end] - starts[begin])
-                    self._store.add(key, minute, duration)
-        if n_trips == 0:
-            raise ValueError("fit needs at least one trip")
-        self._fitted = {}
-        for key in self._store._samples:
-            enough = self._store.count(key) >= self.min_support
-            if len(key) == 2 or enough:
-                self._fitted[key] = self._store.distribution(key)
+        """Fit from ``(path, edge_times, departure_minute)`` triples.
+
+        Replaces any earlier fit.  Every trip is validated first; on a
+        ``ValueError`` the model answers exactly as before.
+        """
+        self._fitted = self._fit(trips, self.min_support)
         return self
 
     @property
