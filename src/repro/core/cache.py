@@ -19,14 +19,16 @@ stable byte form) silently exclude the stage from caching rather than
 risking a stale hit, and anything data-dependent on an uncacheable
 stage is itself uncacheable.
 
-A stored delta is the stage's full transactional outcome: the values
+A stored record is the stage's full transactional outcome: the values
 it committed *and* the keys it deleted (tombstones), so a cached
-replay reproduces deletions exactly like a live run.  Deltas are
-deep-copied on store and again on replay — a later stage mutating a
-replayed numpy array or dict in place can therefore never corrupt
-the cached copy for future runs.  A value that cannot be deep-copied
-demotes its stage to uncacheable instead of being shared by
-reference.
+replay reproduces deletions exactly like a live run.  The record is
+frozen at commit: its delta is pickled once (protocol 4, so a
+read-only array thaws writeable, as a live run would produce it) and
+every replay unpickles a fresh copy — a later stage mutating a
+replayed numpy array or dict in place can therefore never corrupt the
+record for future runs, while the record itself is shared by
+reference.  A delta that cannot be pickled demotes its stage to
+uncacheable instead.
 
 Function fingerprints are *structural*: nested code objects (inner
 lambdas, comprehensions, local functions) are recursed into and
@@ -38,7 +40,6 @@ differently.
 
 from __future__ import annotations
 
-import copy
 import hashlib
 import pickle
 import threading
@@ -215,27 +216,41 @@ def stage_keys(stages, deps, initial_state):
 
 
 class CacheEntry:
-    """A stored stage outcome: summary, details, state delta, tombstones."""
+    """A frozen stage outcome: summary, details, pickled delta, tombstones.
 
-    __slots__ = ("summary", "details", "delta", "deleted")
+    Built once, when the stage commits.  ``written`` and ``deleted``
+    are the keys the delta sets and removes; :meth:`snapshot` thaws
+    a fresh copy of the delta for each replay.  Raises whatever
+    :func:`pickle.dumps` raises when the delta cannot be pickled.
+    """
+
+    __slots__ = ("summary", "details", "written", "deleted", "_payload")
 
     def __init__(self, summary, details, delta, deleted=()):
-        self.summary = summary
-        self.details = dict(details)
-        self.delta = dict(delta)
-        self.deleted = frozenset(deleted)
+        delta = dict(delta)
+        fields = (summary, dict(details), frozenset(delta),
+                  frozenset(deleted), pickle.dumps(delta, protocol=4))
+        self.__setstate__(fields)
+
+    def __getstate__(self):
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setstate__(self, fields):
+        for name, value in zip(self.__slots__, fields):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("CacheEntry is frozen")
 
     def snapshot(self):
-        """A replay-safe ``(delta, deleted)`` pair.
-
-        The delta is deep-copied so downstream stages mutating a
-        replayed value in place cannot reach back into the cache.
-        """
-        return copy.deepcopy(self.delta), self.deleted
+        """A replay-safe ``(delta, deleted)`` pair: the delta is a
+        fresh unpickled copy, so in-place mutation of a replayed
+        value cannot reach back into the record."""
+        return pickle.loads(self._payload), self.deleted
 
 
 class StageCache:
-    """Thread-safe in-memory store of stage results across runs.
+    """Thread-safe in-memory map from cache key to :class:`CacheEntry`.
 
     Pass one instance to several :meth:`DecisionPipeline.run` calls
     (including runs of ``without_stage`` copies) to reuse results
@@ -273,6 +288,11 @@ class StageCache:
 
         return get_registry()
 
+    def _publish_size(self, size):
+        self._metrics().gauge(
+            "engine.stage_cache_entries",
+            "Entries currently stored in the StageCache").set(size)
+
     def get(self, key):
         with self._lock:
             entry = self._entries.get(key)
@@ -286,54 +306,12 @@ class StageCache:
                 outcome="miss" if entry is None else "hit")
         return entry
 
-    def store(self, key, summary, details, delta, deleted=()):
-        """Store an outcome; returns False (and stores nothing) when
-        the delta cannot be deep-copied — such a value would be shared
-        by reference across runs and poisoned by the first in-place
-        mutation, so the stage is demoted to uncacheable instead."""
-        try:
-            delta = copy.deepcopy(dict(delta))
-        except Exception:
-            return False
-        with self._lock:
-            self._entries[key] = CacheEntry(summary, details, delta,
-                                            deleted)
-            size = len(self._entries)
-        self._metrics().gauge(
-            "engine.stage_cache_entries",
-            "Entries currently stored in the StageCache").set(size)
-        return True
-
-    def entry(self, key):
-        """Fetch an entry without touching hit/miss counters.
-
-        The bookkeeping accessor streaming sessions use to harvest a
-        tick's committed deltas — those reads are not cache *lookups*
-        in the replay sense and must not skew the hit-rate metrics
-        :meth:`get` publishes.
-        """
-        with self._lock:
-            return self._entries.get(key)
-
-    def adopt(self, key, entry):
-        """Install an existing :class:`CacheEntry` under ``key``.
-
-        Unlike :meth:`store` this does *not* deep-copy the delta: the
-        entry is adopted by reference.  Callers own the aliasing —
-        the streaming session uses this to republish a prior tick's
-        entry (whose delta is only ever handed out through the
-        deep-copying :meth:`CacheEntry.snapshot`) under a fresh
-        replay key without paying a second copy.
-        """
-        if not isinstance(entry, CacheEntry):
-            raise TypeError(
-                f"expected CacheEntry, got {type(entry).__name__}")
+    def __setitem__(self, key, entry):
+        _check_entry(key, entry)
         with self._lock:
             self._entries[key] = entry
             size = len(self._entries)
-        self._metrics().gauge(
-            "engine.stage_cache_entries",
-            "Entries currently stored in the StageCache").set(size)
+        self._publish_size(size)
 
     def merge(self, other):
         """Fold another cache's entries into this one.
@@ -355,17 +333,12 @@ class StageCache:
         added = 0
         with self._lock:
             for key, entry in entries.items():
-                if not isinstance(entry, CacheEntry):
-                    raise TypeError(
-                        f"cache entry for key {key!r} is "
-                        f"{type(entry).__name__}, not CacheEntry")
+                _check_entry(key, entry)
                 if key not in self._entries:
                     self._entries[key] = entry
                     added += 1
             size = len(self._entries)
-        self._metrics().gauge(
-            "engine.stage_cache_entries",
-            "Entries currently stored in the StageCache").set(size)
+        self._publish_size(size)
         return added
 
     def clear(self):
@@ -381,3 +354,9 @@ class StageCache:
     def __repr__(self):
         return (f"StageCache(entries={len(self)}, hits={self.hits}, "
                 f"misses={self.misses})")
+
+
+def _check_entry(key, entry):
+    if not isinstance(entry, CacheEntry):
+        raise TypeError(f"cache entry for key {key!r} is "
+                        f"{type(entry).__name__}, not CacheEntry")

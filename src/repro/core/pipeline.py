@@ -128,8 +128,9 @@ class DecisionPipeline:
 
     Stage functions receive the (contract-checked) mutable state
     mapping and return either a summary string or a
-    ``(summary, details_dict)`` pair.  They communicate by reading
-    and writing state entries.
+    ``(summary, details_dict)`` pair; any other tuple fails the
+    attempt with a ``TypeError``.  They communicate by reading and
+    writing state entries.
     """
 
     _LAYERS = ("data", "governance", "analytics", "decision")
@@ -340,12 +341,12 @@ class DecisionPipeline:
                executor=None):
         """Open an :class:`~repro.core.streaming.IncrementalSession`.
 
-        The session carries state and per-stage committed deltas
+        The session carries state and per-stage committed records
         across *ticks*: each ``session.tick(changed=..., deleted=...)``
         applies the mutations, computes the dirty downstream cone
         from the stages' declared contracts, replays every clean
-        stage from its carried delta (deep-copy, tombstones included)
-        and re-executes only the dirty ones.  Keyword arguments have
+        stage from a fresh copy of its carried record (tombstones
+        included) and re-executes only the dirty ones.  Keyword arguments have
         :meth:`run` semantics and apply to every tick; per-tick
         ``deadline=`` / ``run_id=`` are passed to ``tick`` itself.
         See ``docs/STREAMING.md``.

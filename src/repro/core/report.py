@@ -74,9 +74,8 @@ class RunReport:
         self.run_id = None
         self.wall_seconds = 0.0  # set by the engine at run end
 
-    def add(self, layer, name, summary, duration_seconds, *,
-            status="ok", retries=0, cache_hit=False, error=None,
-            **details):
+    def add(self, layer, name, summary, duration_seconds, details=None,
+            *, status="ok", retries=0, cache_hit=False, error=None):
         if layer not in self._LAYERS:
             raise ValueError(
                 f"layer must be one of {self._LAYERS}, got {layer!r}"

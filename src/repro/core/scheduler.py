@@ -66,6 +66,7 @@ from __future__ import annotations
 import collections
 import threading
 import time
+from collections.abc import Mapping
 from concurrent.futures import FIRST_COMPLETED, wait
 
 from . import cache as _cache
@@ -149,8 +150,9 @@ class DagScheduler:
         for the environment default); ``run_id`` seeds deterministic
         per-attempt jitter.  ``cache_keys`` (one key or ``None`` per
         stage) overrides content-keying entirely — streaming sessions
-        pass precomputed replay/execute keys so no fingerprinting of
-        the initial state ever happens on the tick path.
+        key a plain dict of records by stage name, so no
+        fingerprinting of the initial state ever happens on the tick
+        path.
         """
         executor = _executors.resolve_executor(executor)
         lock = threading.RLock()
@@ -369,13 +371,14 @@ class _StageRunner:
         if self._inject is not None:
             self._inject(stage.name, attempt)
         if self._session.remote(index):
-            return self._remote_attempt(index, stage, view, attempt)
-        outcome = stage.function(view)
+            outcome = self._remote_attempt(index, stage, view, attempt)
+        else:
+            outcome = stage.function(view)
         # An attempt that returns over budget is as timed out as one
         # caught mid-flight: it must not commit.
         if view.timed_out():
             raise StageTimeout(stage.name, stage.timeout)
-        return outcome
+        return _split_outcome(stage, outcome)
 
     def _remote_attempt(self, index, stage, view, attempt):
         """Ship the attempt to the backend's workers and graft the
@@ -393,8 +396,6 @@ class _StageRunner:
             view._writes.pop(key, None)
             view._deleted.add(key)
             view.written.add(key)
-        if view.timed_out():
-            raise StageTimeout(stage.name, stage.timeout)
         return outcome
 
     def _backoff(self, stage, attempt):
@@ -434,7 +435,7 @@ class _StageRunner:
             self._m_duration.observe(seconds, stage=stage.name)
         with self._lock:
             self.report.add(stage.layer, stage.name, summary, seconds,
-                            status=status, **record, **dict(details))
+                            details, status=status, **record)
         if run.token is not None:
             self._profiler.stage_end(
                 run.token, seconds, self._session.worker_cpu(run.index))
@@ -474,11 +475,18 @@ class _StageRunner:
         return True
 
     def _record_success(self, run, outcome, view, attempts):
-        summary, details = _split_outcome(outcome)
+        summary, details = outcome
         delta, deleted = view.commit()
         key = self._keys[run.index]
         if self._cache is not None and key is not None:
-            self._cache.store(key, summary, details, delta, deleted)
+            try:
+                record = _cache.CacheEntry(summary, details, delta,
+                                           deleted)
+            except Exception:
+                pass  # an unpicklable delta: the stage is uncacheable
+            else:
+                with self._lock:
+                    self._cache[key] = record
         self._finish(run, "stage_end", "ok", summary, details=details,
                      retries=attempts)
 
@@ -512,7 +520,7 @@ class _StageRunner:
                              self._control,
                              copy_on_read=self._copy_on_read)
         try:
-            outcome = stage.fallback(view)
+            outcome = _split_outcome(stage, stage.fallback(view))
         except ContractViolation:
             raise
         except StageCancelled:
@@ -530,14 +538,21 @@ class _StageRunner:
                 report=self.report, state=self.state,
             ) from fallback_exc
         view.commit()
-        summary, details = _split_outcome(outcome)
+        summary, details = outcome
         self._finish(run, "stage_end", "fallback", summary,
                      event={"status": "fallback"}, details=details,
                      retries=attempts, error=str(exc))
 
 
-def _split_outcome(outcome):
-    """A stage's return value as ``(summary, details)``."""
-    if isinstance(outcome, tuple):
+def _split_outcome(stage, outcome):
+    """A stage's return value as ``(summary, details)``; anything but
+    a summary or a ``(summary, mapping)`` pair is a ``TypeError``
+    naming the stage, raised before the attempt commits."""
+    if not isinstance(outcome, tuple):
+        return outcome, {}
+    if len(outcome) == 2 and isinstance(outcome[1], Mapping):
         return outcome
-    return outcome, {}
+    kinds = ", ".join(type(value).__name__ for value in outcome)
+    raise TypeError(
+        f"stage {stage.name!r} returned a tuple of ({kinds}); expected "
+        "a summary or a (summary, details mapping) pair")

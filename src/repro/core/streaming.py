@@ -4,17 +4,20 @@ Production traffic arrives as an unbounded stream, but
 :meth:`DecisionPipeline.run` recomputes the whole DAG from scratch.
 :class:`IncrementalSession` (returned by
 :meth:`DecisionPipeline.stream`) closes that gap: the session carries
-the input state and every stage's last committed *delta* across
-**ticks**.  Each ``tick(changed=..., deleted=...)``
+the input state and every stage's last committed record (a frozen
+:class:`~repro.core.cache.CacheEntry`: pickled delta plus deletion
+tombstones) across **ticks**.  Each ``tick(changed=..., deleted=...)``
 
 1. applies the mutations to the carried input state,
 2. walks the stages in topological (layer-major) order, consulting
    each declared ``reads``/``writes`` contract to compute the **dirty
    downstream cone** of the changed keys,
-3. replays every *clean* stage from its carried delta — a deep-copy
-   replay through the :class:`~repro.core.cache.StageCache` machinery,
-   deletion tombstones included — and re-executes only dirty stages,
-4. and harvests the new committed deltas for the next tick.
+3. replays every *clean* stage from a fresh copy of its carried
+   record, deletion tombstones included, and re-executes only dirty
+   stages — the engine's cache is a plain ``{stage name: record}``
+   dict, so ticks publish no ``StageCache`` lookup or size metrics,
+4. and carries that dict, now holding the new records too, to the
+   next tick.
 
 Every tick funnels through the same engine core as ``run()``
 (:func:`repro.core.pipeline._execute_run`), so events, metrics,
@@ -28,11 +31,11 @@ Dirty-cone rules (walked in topological order over a live set of
 *dirty keys*, seeded with the tick's changed/deleted keys plus any
 keys pending from failed ticks):
 
-* a stage with no carried delta (first tick, prior skip/fallback, or
-  an uncacheable result) is dirty;
+* a stage with no carried record (first tick, prior skip/fallback,
+  or an uncacheable result) is dirty;
 * a stage whose declared ``reads`` intersect the dirty set is dirty;
 * a dirty stage adds its declared ``writes`` to the dirty set;
-* a clean stage *removes* the keys its carried delta actually wrote
+* a clean stage *removes* the keys its carried record actually wrote
   or deleted — after replay they match the previous tick exactly, so
   downstream readers are clean again.  Only actual effects are
   removed, never declared writes: a declared-but-unwritten key stays
@@ -44,8 +47,8 @@ the value yourself if you want content-level cutoffs.
 
 Incremental folds: a stage constructed with ``incremental=fold`` does
 not recompute from scratch when it is dirty on a non-first tick.
-Instead the engine seeds the attempt's transactional view with the
-stage's previous committed delta (tombstones re-applied) and calls
+Instead the engine seeds the attempt's transactional view with a
+copy of the stage's previous record (tombstones re-applied) and calls
 ``fold(view, tick)`` — the :class:`Tick` names the changed/deleted
 keys — so a windowed operator folds the new observations into carried
 state.  The fold *must* leave the view in the same state a full
@@ -55,7 +58,7 @@ harness.
 
 Failure semantics are transactional at tick granularity: a failed or
 deadline-cancelled tick publishes nothing — the carried state and
-deltas remain those of the last successful tick, and the failed
+records remain those of the last successful tick, and the failed
 tick's mutations stay *pending* so the next successful tick
 recomputes the whole accumulated cone.
 """
@@ -68,7 +71,6 @@ import time
 import uuid
 
 from . import dag as _dag
-from .cache import StageCache
 from .events import emit
 from .stage import RunDeadlineExceeded, Stage, StageFailure
 
@@ -90,24 +92,24 @@ class Tick(collections.namedtuple("Tick", "number changed deleted")):
 class _IncrementalCall:
     """Substitute stage function for a dirty incremental stage.
 
-    Seeds the attempt's view with the stage's previous committed
-    delta (so the fold reads its own carried state through normal
-    contract-checked access), re-applies previous deletion tombstones,
-    then delegates to the user's fold.  Picklable whenever the fold
-    and the carried values are, so the process backend's pre-flight
-    treats it like any other stage function.
+    Seeds the attempt's view with a thawed copy of the stage's
+    previous record (so the fold reads its own carried state through
+    normal contract-checked access), re-applies previous deletion
+    tombstones, then delegates to the user's fold.  Picklable whenever
+    the fold is, so the process backend's pre-flight treats it like
+    any other stage function.
     """
 
-    def __init__(self, fold, tick, carried, carried_deleted):
+    def __init__(self, fold, tick, record):
         self.fold = fold
         self.tick = tick
-        self.carried = carried
-        self.carried_deleted = frozenset(carried_deleted)
+        self.record = record
 
     def __call__(self, view):
-        for key, value in self.carried.items():
+        carried, carried_deleted = self.record.snapshot()
+        for key, value in carried.items():
             view[key] = value
-        for key in self.carried_deleted:
+        for key in carried_deleted:
             if key in view:
                 del view[key]
         return self.fold(view, self.tick)
@@ -143,7 +145,7 @@ class IncrementalSession:
         self._executor = executor
         self._initial = dict(initial_state or {})
         self._state = None          # final state of the last ok tick
-        self._entries = {}          # stage name -> CacheEntry
+        self._records = {}          # stage name -> CacheEntry
         self._pending = set()       # dirty keys from failed ticks
         self._force_full = False
         self._ticks = 0             # ticks attempted (keys/ids)
@@ -176,7 +178,7 @@ class IncrementalSession:
         """Per-stage disposition for one tick.
 
         Returns a list aligned with the stages: ``"replay"`` (clean,
-        serve from the carried delta), ``"execute"`` (recompute) or
+        serve from the carried record), ``"execute"`` (recompute) or
         ``"fold"`` (dirty, but the stage folds into carried state).
         Mutates ``dirty`` in place following the module-docstring
         rules; the walk order is the layer-major stage order, which
@@ -184,16 +186,15 @@ class IncrementalSession:
         """
         plan = []
         for stage in self._stages:
-            entry = self._entries.get(stage.name)
-            if (entry is None or full
+            record = self._records.get(stage.name)
+            if (record is None or full
                     or not stage.reads.isdisjoint(dirty)):
                 dirty |= stage.writes
                 fold = (stage.incremental is not None
-                        and entry is not None and not full)
+                        and record is not None and not full)
                 plan.append("fold" if fold else "execute")
             else:
-                dirty -= set(entry.delta)
-                dirty -= entry.deleted
+                dirty -= record.written | record.deleted
                 plan.append("replay")
         return plan
 
@@ -221,7 +222,7 @@ class IncrementalSession:
             full in effect (there is nothing to replay yet).
 
         Raises whatever ``run()`` raises; a raising tick commits
-        nothing — carried state and deltas stay those of the last
+        nothing — carried state and records stay those of the last
         successful tick, and this tick's mutations stay pending until
         a tick succeeds.
         """
@@ -252,26 +253,19 @@ class IncrementalSession:
         for key in deleted:
             self._initial.pop(key, None)
 
-        # 2. Plan the dirty cone and build this tick's replay cache.
+        # 2. Plan the dirty cone; clean stages replay their records.
         dirty = self._pending | set(changed) | set(deleted)
         pending = set(dirty)  # what stays pending if this tick fails
         plan = self._plan(dirty, full)
         tick_info = Tick(number, frozenset(changed), deleted)
-        replay = StageCache()
-        keys, stages = [], []
+        records, stages = {}, []
         for stage, disposition in zip(self._stages, plan):
             if disposition == "replay":
-                key = f"replay:{stage.name}"
-                replay.adopt(key, self._entries[stage.name])
-            else:
-                key = f"t{number}:{stage.name}"
-            if disposition == "fold":
-                carried, carried_deleted = (
-                    self._entries[stage.name].snapshot())
+                records[stage.name] = self._records[stage.name]
+            elif disposition == "fold":
                 stage = _clone_stage(stage, _IncrementalCall(
-                    stage.incremental, tick_info, carried,
-                    carried_deleted))
-            keys.append(key)
+                    stage.incremental, tick_info,
+                    self._records[stage.name]))
             stages.append(stage)
         saved = plan.count("replay")
         folded = plan.count("fold")
@@ -290,7 +284,9 @@ class IncrementalSession:
         try:
             report = _execute_run(
                 self._pipeline.title, stages, self._deps, state,
-                cache=replay, cache_keys=keys, tracer=self._tracer,
+                cache=records,
+                cache_keys=[stage.name for stage in stages],
+                tracer=self._tracer,
                 max_workers=self._max_workers, deadline=deadline,
                 copy_on_read=self._copy_on_read, metrics=metrics,
                 executor=self._executor, run_id=run_id,
@@ -326,17 +322,13 @@ class IncrementalSession:
                  run_id=run_id, status=status, dirty=executed,
                  saved=saved)
 
-        # 4. Harvest the committed deltas for the next tick.  A stage
-        # with no entry (skipped, fallback, uncacheable) stays dirty.
+        # 4. Carry the tick's records.  A stage with no record
+        # (skipped, fallback, uncacheable) stays dirty.
         metrics.histogram(
             "engine.tick_duration_seconds",
             "Wall-clock duration of incremental ticks").observe(
                 ended - started)
-        self._entries = {
-            stage.name: entry
-            for stage, key in zip(self._stages, keys)
-            if (entry := replay.entry(key)) is not None
-        }
+        self._records = records
         self._state = state
         self._pending = set()
         self._force_full = False

@@ -724,16 +724,17 @@ class TestCli:
 
 class TestGetstateFixes:
     def test_stage_cache_roundtrip(self):
-        from repro.core.cache import StageCache
+        from repro.core.cache import CacheEntry, StageCache
 
         cache = StageCache()
-        assert cache.store(("key",), "ok", {"d": 1}, {"x": [1, 2]})
+        cache[("key",)] = CacheEntry("ok", {"d": 1}, {"x": [1, 2]})
         clone = pickle.loads(pickle.dumps(cache))
         entry = clone.get(("key",))
         assert entry is not None
-        assert entry.delta == {"x": [1, 2]}
+        assert entry.snapshot()[0] == {"x": [1, 2]}
         # The clone's lock is fresh and functional.
-        assert clone.store(("key2",), "ok", {}, {})
+        clone[("key2",)] = CacheEntry("ok", {}, {})
+        assert len(clone) == 2
 
     def test_collecting_tracer_roundtrip(self):
         from repro.core.events import CollectingTracer, emit

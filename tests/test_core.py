@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import DecisionPipeline, RunReport
+from repro.core import DecisionPipeline, RunReport, StageCache
 from repro.benchmarking import ForecastingLeaderboard
 from repro.datasets import seasonal_series
 from repro.analytics.forecasting import (
@@ -59,6 +59,24 @@ class TestPipeline:
         assert report.stages("data")[0].details == {"rows": 100}
         rendered = report.render()
         assert "impute" in rendered and "decision" in rendered
+
+    def test_detail_keys_never_collide_with_record_fields(self):
+        # Regression: details were splatted into RunReport.add as
+        # keywords, so a "retries" or "status" detail crashed the run.
+        details = {key: "detail" for key in (
+            "status", "error", "cache_hit", "layer", "name", "summary",
+            "retries")}
+        pipeline = DecisionPipeline("details")
+        pipeline.add_data("load", lambda s: ("loaded", details),
+                          reads=(), writes=())
+        cache = StageCache()
+        for hits in (0, 1):  # live, then replayed from the cache
+            _, report = pipeline.run(cache=cache)
+            (record,) = report.records
+            assert report.cache_hits == hits
+            assert record.details == details
+            assert (record.status, record.retries, record.name,
+                    record.summary) == ("ok", 0, "load", "loaded")
 
     def test_without_stage_ablation(self):
         pipeline = self.build()

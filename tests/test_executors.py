@@ -10,6 +10,7 @@ ships large ndarrays zero-copy through shared memory and folds
 worker-side metrics back into the parent registry.
 """
 
+import functools
 import os
 import pickle
 import threading
@@ -111,6 +112,11 @@ def s_rogue_write(view):
 def s_unpicklable_output(view):
     view["bad"] = threading.Lock()
     return "wrote a lock"
+
+
+def s_malformed(view, *, outcome):
+    view["ok"] = True
+    return outcome
 
 
 def s_raise_value_error(view):
@@ -467,6 +473,41 @@ class TestFailurePolicyMatrix:
                 == outcomes["process"])
 
     @pytest.mark.parametrize("backend", BACKENDS)
+    def test_malformed_outcome_is_a_stage_error(self, backend,
+                                                process_executor):
+        # Regression: a malformed return escaped run() as a bare
+        # TypeError/ValueError past every policy — after the state had
+        # already committed, in the ("s", None) case.
+        executor = backend_executor(backend, process_executor)
+
+        def build(outcome, on_error):
+            p = DecisionPipeline("malformed")
+            p.add_data("bad", functools.partial(s_malformed,
+                                                outcome=outcome),
+                       reads=(), writes=("ok",), retries=1,
+                       backoff=0.0, on_error=on_error)
+            return p
+
+        for outcome in (("s", None), ("s", {}, 3), ("s",)):
+            cache = StageCache()
+            with use_registry() as registry:
+                state, report = build(outcome, "skip").run(
+                    cache=cache, executor=executor)
+            (record,) = report.records
+            assert record.status == "skipped", outcome
+            assert record.retries == 1
+            assert "stage 'bad' returned" in record.error
+            assert "ok" not in state  # nothing committed
+            assert len(cache) == 0
+            attempts = registry.counter("engine.stage_attempts_total")
+            assert attempts.value(stage="bad") == 2
+
+            with pytest.raises(StageFailure) as exc_info:
+                build(outcome, "fail").run(executor=executor)
+            assert isinstance(exc_info.value.__cause__, TypeError)
+            assert "ok" not in exc_info.value.state
+
+    @pytest.mark.parametrize("backend", BACKENDS)
     def test_deadline_cancels_on_every_backend(self, backend,
                                                process_executor):
         faults = FaultInjector().delay("slow", 0.6)
@@ -591,8 +632,15 @@ class TestCrossProcessPlumbing:
         assert report.cache_hits == 4
 
     def test_cache_merge_rejects_junk(self):
-        with pytest.raises(TypeError):
-            StageCache().merge({"key": "not-an-entry"})
+        def assign(cache, entries):
+            for key, entry in entries.items():
+                cache[key] = entry
+
+        for insert in (StageCache.merge, assign):
+            cache = StageCache()
+            with pytest.raises(TypeError, match="CacheEntry"):
+                insert(cache, {"key": "not-an-entry"})
+            assert len(cache) == 0
 
     def test_event_dict_roundtrip(self):
         event = StageEvent("stage_end", "impute", "governance",

@@ -45,7 +45,7 @@ from repro.core import (
     StageFailure,
     Tick,
 )
-from repro.core.cache import CacheEntry, fingerprint
+from repro.core.cache import fingerprint
 from repro.core.events import EVENT_KINDS
 from repro.observability import MetricsRegistry, SpanTracer
 from repro.observability.metrics import use_registry
@@ -553,6 +553,33 @@ class TestStreamingObservability:
         durations = registry.get("engine.tick_duration_seconds")
         assert durations is not None
 
+    def test_ticks_leave_stage_cache_metrics_alone(self):
+        # Regression: every tick built a throwaway StageCache, so two
+        # ticks reset engine.stage_cache_entries to the tick's size
+        # and counted lookups on synthetic per-tick keys.
+        with use_registry() as registry:
+            cache = StageCache()
+            for a in range(3):
+                diamond_pipeline().run({"a": a, "b": 2}, cache=cache)
+            entries = registry.gauge("engine.stage_cache_entries")
+            lookups = registry.counter("engine.stage_cache_lookups_total")
+            assert entries.value() == len(cache) == 10
+            before = (lookups.value(outcome="hit"),
+                      lookups.value(outcome="miss"))
+
+            session = diamond_pipeline().stream({"a": 1, "b": 2})
+            session.tick()
+            _, report = session.tick(changed={"a": 5})
+
+            assert entries.value() == len(cache) == 10
+            assert (lookups.value(outcome="hit"),
+                    lookups.value(outcome="miss")) == before
+            replays = registry.counter("engine.stage_cache_replays_total")
+            assert report.cache_hits == 1  # "right" is clean
+            assert replays.value(stage="right") == 3  # 2 reruns + 1 tick
+            stages = registry.counter("engine.tick_stages_total")
+            assert stages.value(disposition="replayed") == 1
+
     def test_failed_tick_counts_by_status(self):
         registry = MetricsRegistry()
         faults = FaultInjector()
@@ -687,17 +714,6 @@ class TestSessionMechanics:
 
 
 class TestCachePlumbing:
-    def test_adopt_installs_by_reference(self):
-        cache = StageCache()
-        entry = CacheEntry("ok", {}, {"k": 1})
-        cache.adopt("key", entry)
-        assert cache.entry("key") is entry
-        assert cache.entry("missing") is None
-
-    def test_adopt_rejects_non_entries(self):
-        with pytest.raises(TypeError, match="CacheEntry"):
-            StageCache().adopt("key", {"delta": {}})
-
     def test_scheduler_rejects_mismatched_cache_keys(self):
         from repro.core import RunReport, dag
         from repro.core.scheduler import DagScheduler

@@ -26,6 +26,7 @@ from repro.core import (
     StageTimeout,
 )
 from repro.core.cache import _function_fingerprint, fingerprint
+from repro.datatypes import RoadNetwork
 
 
 def canonical(state):
@@ -301,48 +302,105 @@ class TestCacheTombstones:
         assert canonical(cold) == canonical(warm)
 
 
+def _zeros():
+    return {"arr": np.zeros(4)}
+
+
+def _read_only():
+    arr = np.zeros(4)
+    arr.flags.writeable = False
+    return {"arr": arr}
+
+
+def _aliased():
+    arr = np.zeros(4)
+    return {"arr": arr, "alias": arr}
+
+
+def _network():
+    return {"net": RoadNetwork.grid(2, 2)}
+
+
+def _lock():
+    return {"value": threading.Lock()}
+
+
+def _function():
+    return {"value": lambda: 42}
+
+
+def _content(state):
+    """Comparable content of the isolation cases' values."""
+    return {key: (value.tolist() if isinstance(value, np.ndarray)
+                  else sorted((u, v, value.edge_length(u, v))
+                              for u, v in value.edges()))
+            for key, value in state.items()}
+
+
+def _poison(state):
+    """A later stage mutating every replayed value in place."""
+    for value in state.values():
+        if isinstance(value, np.ndarray):
+            value[:] = 999.0  # raises if the value thawed read-only
+        elif isinstance(value, RoadNetwork):
+            value.set_edge_attribute((0, 0), (0, 1), "length", 999.0)
+
+
+def _producer(make):
+    def produce(s):
+        for key, value in make().items():
+            s[key] = value
+        return "produced"
+
+    pipeline = DecisionPipeline(make.__name__)
+    pipeline.add_data("produce", produce, reads=(),
+                      writes=tuple(make()))
+    return pipeline
+
+
 class TestCacheIsolation:
     def test_later_mutation_cannot_poison_replayed_delta(self):
         # Regression: deltas were replayed by reference, so one run
         # mutating a replayed array corrupted every future replay.
-        def produce(s):
-            s["arr"] = np.zeros(4)
-            return "produced"
-
-        def build():
-            pipeline = DecisionPipeline("poison")
-            pipeline.add_data("produce", produce, reads=(),
-                              writes=("arr",))
-            return pipeline
-
-        cache = StageCache()
-        build().run(cache=cache)
-
-        state2, report2 = build().run(cache=cache)
-        assert report2.cache_hits == 1
-        state2["arr"][:] = 999.0  # a later stage mutating in place
-
-        state3, report3 = build().run(cache=cache)
-        assert report3.cache_hits == 1
-        np.testing.assert_array_equal(state3["arr"], np.zeros(4))
+        # Each replay thaws a fresh copy of the record: writeable
+        # (protocol 4), with aliasing inside the delta preserved, and
+        # the same holds for the records a stream tick replays.
+        for make in (_zeros, _read_only, _aliased, _network):
+            cache = StageCache()
+            _producer(make).run(cache=cache)
+            session = _producer(make).stream({"t": 0})
+            session.tick()
+            for number in range(1, 3):
+                for state, report in (
+                        _producer(make).run(cache=cache),
+                        session.tick(changed={"t": number})):
+                    assert report.cache_hits == 1, make.__name__
+                    state = {k: v for k, v in state.items() if k != "t"}
+                    assert _content(state) == _content(make())
+                    if "alias" in state:
+                        assert state["alias"] is state["arr"]
+                    _poison(state)  # a later stage mutating in place
 
     def test_uncopyable_delta_demotes_stage_to_uncacheable(self):
-        def produce_lock(s):
-            s["lock"] = threading.Lock()  # not deep-copyable
-            return "locked"
+        # A lock cannot be pickled; neither can a lambda (which the
+        # old deep-copied records shared by reference).
+        for make in (_lock, _function):
+            cache = StageCache()
+            state1, _ = _producer(make).run(cache=cache)
+            assert cache.misses == 1  # the stage is keyed and looked up
+            assert len(cache) == 0  # record demoted, nothing cached
+            state2, report = _producer(make).run(cache=cache)
+            assert report.cache_hits == 0  # re-executed, not replayed
+            assert state2["value"] is not state1["value"]
 
-        def build():
-            pipeline = DecisionPipeline("uncopyable")
-            pipeline.add_data("lock", produce_lock, reads=(),
-                              writes=("lock",))
-            return pipeline
-
-        cache = StageCache()
-        state1, _ = build().run(cache=cache)
-        assert len(cache) == 0  # store demoted, nothing cached
-        state2, report = build().run(cache=cache)
-        assert report.cache_hits == 0  # re-executed, not replayed
-        assert state2["lock"] is not state1["lock"]
+            session = _producer(make).stream({"t": 0})
+            session.tick()
+            ticked, report = session.tick(changed={"t": 1})
+            assert report.cache_hits == 0
+            assert report.status_map() == {"produce": "ok"}
+            scratch, _ = _producer(make).run({"t": 1})
+            assert set(ticked) == set(scratch) == {"t", "value"}
+            assert type(ticked["value"]) is type(scratch["value"])
 
 
 # -- fingerprint stability ---------------------------------------------------
