@@ -29,12 +29,10 @@ from conftest import print_table
 
 from repro import RoadNetwork
 from repro.datasets import TrafficSimulator, TrajectoryGenerator
-from repro.decision.stochastic import (
-    _dominance_prune_pairwise,
-    dominance_prune,
-)
+from repro.decision.stochastic import dominance_prune
 from repro.governance.fusion import HmmMapMatcher
 from repro.governance.uncertainty import Histogram
+from tests.oracles import _dominance_prune_pairwise
 
 ARTIFACT_PATH = pathlib.Path(__file__).resolve().parent.parent / \
     "BENCH_e26.json"

@@ -491,6 +491,8 @@ class RoadNetwork:
         return self._graph.has_edge(u, v)
 
     def successors(self, node):
+        if node not in self._graph:
+            raise KeyError(f"node {node!r} is not in the network")
         return list(self._graph.successors(node))
 
     def set_edge_attribute(self, u, v, key, value):

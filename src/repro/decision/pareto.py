@@ -21,6 +21,10 @@ into a single unified objective via a preference function [54]."
 
 from __future__ import annotations
 
+import math
+from collections import deque
+from operator import add
+
 import numpy as np
 
 from .._validation import check_positive, check_probability_vector
@@ -154,8 +158,8 @@ class SkylineRouter:
     Parameters
     ----------
     network:
-        The road network; each edge must carry the attributes named in
-        ``objectives``.
+        The road network; each edge the search expands must carry the
+        attributes named in ``objectives``.
     objectives:
         Edge-attribute names forming the cost vector (all minimized).
     max_labels:
@@ -172,71 +176,128 @@ class SkylineRouter:
         self.objectives = objectives
         self.max_labels = int(check_positive(max_labels, "max_labels"))
 
-    def _edge_cost(self, u, v):
-        return np.array([
-            float(self.network.edge_attribute(u, v, name, 0.0))
-            for name in self.objectives
-        ])
+    def _cost_rows(self, node):
+        """``[(successor, edge cost tuple)]`` of ``node``, in successor
+        order; a missing objective is a :class:`KeyError`."""
+        rows = []
+        for successor, data in self.network.graph.succ[node].items():
+            for name in self.objectives:
+                if name not in data:
+                    raise KeyError(f"edge ({node!r}, {successor!r}) has "
+                                   f"no {name!r} cost")
+            rows.append((successor, tuple([float(data[name])
+                                           for name in self.objectives])))
+        return rows
 
     def skyline(self, origin, destination):
         """All Pareto-optimal routes from origin to destination.
 
         Returns a list of ``(path, cost_vector)`` pairs, mutually
-        non-dominated.
+        non-dominated.  Raises :class:`KeyError` for an origin or
+        destination not in the network, and for an expanded edge that
+        lacks one of the objectives.
+
+        A label-correcting search over FIFO-queued nodes: a node keeps
+        at most ``max_labels`` labels ``(cost tuple, path)`` of plain
+        floats, and is re-queued only when that capped set changed.  A
+        path that once left a node's set (dominated, or cut by the
+        cap) is never admitted there again, so every (node, path) pair
+        enters a set at most once and the search ends.
         """
         if origin == destination:
             raise ValueError("origin and destination must differ")
-        # Label-correcting search: labels are (cost_vector, path).
-        labels = {origin: [(np.zeros(len(self.objectives)), [origin])]}
-        queue = [origin]
+        graph = self.network.graph
+        for node in (origin, destination):
+            if node not in graph:
+                raise KeyError(f"node {node!r} is not in the network")
+        labels = {origin: [((0.0,) * len(self.objectives), (origin,))]}
+        admitted = {origin: {(origin,)}}  # every path a set ever held
+        rows = {}
+        queue = deque([origin])
+        queued = {origin}
         while queue:
-            node = queue.pop(0)
-            node_labels = list(labels.get(node, []))
-            for successor in self.network.successors(node):
-                edge_cost = self._edge_cost(node, successor)
-                candidates = []
-                for cost, path in node_labels:
-                    if successor in path:  # simple paths only
-                        continue
-                    candidates.append((cost + edge_cost,
-                                       path + [successor]))
+            node = queue.popleft()
+            queued.discard(node)
+            node_labels = labels[node]
+            row = rows.get(node)
+            if row is None:
+                row = rows[node] = self._cost_rows(node)
+            for successor, edge in row:
+                candidates = [
+                    (tuple(map(add, cost, edge)), path + (successor,))
+                    for cost, path in node_labels
+                    if successor not in path  # simple paths only
+                ]
                 if not candidates:
                     continue
-                existing = labels.get(successor, [])
-                merged = self._merge(existing, candidates)
+                merged = self._merge(labels.get(successor, []),
+                                     candidates,
+                                     admitted.setdefault(successor, set()))
                 if merged is not None:
                     labels[successor] = merged
-                    if successor not in queue:
+                    if successor not in queued:
+                        queued.add(successor)
                         queue.append(successor)
-        results = labels.get(destination, [])
-        return [(path, cost.copy()) for cost, path in results]
+        return [(list(path), np.array(cost))
+                for cost, path in labels.get(destination, [])]
 
-    def _merge(self, existing, candidates):
-        """Merge candidate labels into a node's Pareto set.
+    def _merge(self, existing, candidates, admitted):
+        """Merge candidate labels into a node's capped Pareto set.
 
-        Returns the new label list, or None when nothing changed.
+        Returns the new label list, or None when the set is unchanged.
+        ``admitted`` (the paths the set ever held) grows in place.
         """
-        pool = list(existing)
-        changed = False
+        pool = existing
         for cost, path in candidates:
-            dominated = False
-            for other_cost, _ in pool:
-                if dominates(other_cost, cost) or np.allclose(other_cost,
-                                                              cost):
-                    dominated = True
-                    break
-            if dominated:
+            if path in admitted:
                 continue
-            pool = [
-                (other_cost, other_path) for other_cost, other_path in pool
-                if not dominates(cost, other_cost)
-            ]
-            pool.append((cost, path))
-            changed = True
-        if not changed:
-            return None
+            for other, _ in pool:
+                if _dominates(other, cost) or _close(other, cost):
+                    break
+            else:
+                pool = [label for label in pool
+                        if not _dominates(cost, label[0])]
+                pool.append((cost, path))
+                admitted.add(path)
         if len(pool) > self.max_labels:
             # Keep the labels with the best scalarized spread.
-            pool.sort(key=lambda label: label[0].sum())
-            pool = pool[: self.max_labels]
+            pool.sort(key=lambda label: _array_sum(label[0]))
+            del pool[self.max_labels:]
+        if len(pool) == len(existing) and all(
+                new is old for new, old in zip(pool, existing)):
+            return None
         return pool
+
+
+# The skyline's label tests on float tuples.  Each decides exactly as
+# its numpy expression on float64 arrays does.
+
+def _dominates(first, second, tol=1e-12):
+    """:func:`dominates` on float tuples."""
+    strict = False
+    for x, y in zip(first, second):
+        if not x <= y + tol:
+            return False
+        if x < y - tol:
+            strict = True
+    return strict
+
+
+def _close(first, second):
+    """``np.allclose(first, second)``: ``|x - y| <= 1e-08 + 1e-05|y|``
+    for finite ``y``, else ``x == y``."""
+    for x, y in zip(first, second):
+        if not (x == y or abs(x - y) <= 1e-08 + 1e-05 * abs(y) < math.inf):
+            return False
+    return True
+
+
+def _array_sum(values):
+    """``np.array(values).sum()``: numpy adds fewer than eight floats
+    left to right and pairwise beyond that."""
+    if len(values) >= 8:
+        return float(np.array(values).sum())
+    total = 0.0
+    for value in values:
+        total += value
+    return total

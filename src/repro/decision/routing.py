@@ -18,6 +18,7 @@ reliable paths, loose ones favour fast-on-average paths.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -32,6 +33,20 @@ __all__ = ["StochasticRouter"]
 
 #: Memo sentinel for paths the cost model cannot evaluate.
 _UNCOVERED = object()
+
+
+def _publishing(query):
+    """A public query that flushes its memo lookups to the counter when
+    it returns or raises, so the counter never lags :meth:`cache_info`.
+    Queries call each other's private bodies, so each flushes once."""
+    @functools.wraps(query)
+    def published(self, *args, **kwargs):
+        try:
+            return query(self, *args, **kwargs)
+        finally:
+            for memo in self._memos:
+                memo.publish()
+    return published
 
 
 class StochasticRouter:
@@ -155,6 +170,7 @@ class StochasticRouter:
         self._distribution_memo.put(key, distribution)
         return distribution
 
+    @_publishing
     def candidate_paths(self, origin, destination):
         """K-shortest simple paths by ``weight`` (the candidate pool).
 
@@ -162,6 +178,9 @@ class StochasticRouter:
         most expensive part of a routing query, and fleet serving
         repeats OD pairs constantly.
         """
+        return self._candidate_paths(origin, destination)
+
+    def _candidate_paths(self, origin, destination):
         key = (origin, destination)
         cached = self._path_memo.get(key)
         if cached is None:
@@ -171,6 +190,7 @@ class StochasticRouter:
             self._path_memo.put(key, cached)
         return cached
 
+    @_publishing
     def candidate_distributions(self, origin, destination,
                                 departure_minute=0.0):
         """``(paths, distributions)`` for all *evaluable* candidates.
@@ -178,9 +198,14 @@ class StochasticRouter:
         Candidates whose edges were never observed by the cost model
         are skipped (a real fleet has uncovered roads).
         """
+        return self._candidate_distributions(origin, destination,
+                                             departure_minute)
+
+    def _candidate_distributions(self, origin, destination,
+                                 departure_minute):
         paths = []
         distributions = []
-        for path in self.candidate_paths(origin, destination):
+        for path in self._candidate_paths(origin, destination):
             distribution = self._path_distribution(path,
                                                    departure_minute)
             if distribution is _UNCOVERED:
@@ -221,6 +246,7 @@ class StochasticRouter:
         self._reduction_memo.put(key, reduction)
         return reduction
 
+    @_publishing
     def best_path(self, origin, destination, utility, *,
                   departure_minute=0.0, prune=True):
         """The expected-utility-optimal path.
@@ -233,14 +259,12 @@ class StochasticRouter:
         """
         if not isinstance(utility, UtilityFunction):
             raise TypeError("utility must be a UtilityFunction")
-        paths, distributions = self.candidate_distributions(
+        paths, distributions = self._candidate_distributions(
             origin, destination, departure_minute)
         reduction = self._ensemble_reduction(
             origin, destination, departure_minute, distributions)
         best, value, _ = select_best(distributions, utility,
                                      prune=prune, reduction=reduction)
-        for memo in self._memos:
-            memo.publish()
         return paths[best], distributions[best], value
 
     def route_many(self, queries, utility, *, prune=True):
@@ -276,10 +300,11 @@ class StochasticRouter:
             departure_minute=departure_minute)
         return path, probability
 
+    @_publishing
     def mean_cost_route(self, origin, destination, *,
                         departure_minute=0.0):
         """The baseline: minimize *expected* travel time only."""
-        paths, distributions = self.candidate_distributions(
+        paths, distributions = self._candidate_distributions(
             origin, destination, departure_minute)
         best = int(np.argmin([d.mean() for d in distributions]))
         return paths[best], distributions[best]
@@ -323,6 +348,7 @@ class StochasticRouter:
             )
         return best
 
+    @_publishing
     def arrival_windows(self, origin, destination, deadlines, *,
                         departure_minute=0.0):
         """Optimal path per deadline — the arrival-window view of [53].
@@ -331,7 +357,7 @@ class StochasticRouter:
         a shared candidate indexing, so callers can see exactly where
         the optimal choice flips as the deadline tightens.
         """
-        paths, distributions = self.candidate_distributions(
+        paths, distributions = self._candidate_distributions(
             origin, destination, departure_minute)
         results = []
         for deadline in deadlines:

@@ -288,30 +288,6 @@ def dominance_prune(candidates, *, order=1, tol=1e-9, reduce_to=None,
     return survivors
 
 
-def _dominance_prune_pairwise(candidates, *, order=1, tol=1e-9):
-    """Pre-kernel reference: k² independent pairwise dominance calls.
-
-    Kept as the equivalence oracle for tests and the E26 benchmark.
-    """
-    dominates = (first_order_dominates if order == 1
-                 else second_order_dominates)
-    candidates = list(candidates)
-    survivors = []
-    for index, candidate in enumerate(candidates):
-        dominated = False
-        for other_index, other in enumerate(candidates):
-            if other_index == index:
-                continue
-            if dominates(other, candidate, tol=tol):
-                dominated = True
-                break
-        if not dominated:
-            survivors.append(index)
-    if not survivors:
-        survivors = list(range(len(candidates)))
-    return survivors
-
-
 def select_best(candidates, utility, *, prune=True, order=1,
                 reduce_to=None, reduction=None, refine=True):
     """The expected-utility-optimal candidate, optionally after pruning.

@@ -57,6 +57,12 @@ class Histogram:
         self.probabilities = check_probability_vector(probabilities,
                                                       "probabilities")
 
+    def __reduce__(self):
+        """Pickle as ``(start, width, probability bytes)``: one buffer,
+        restored bit for bit and without re-validation."""
+        return _restore_histogram, (type(self), self.start, self.width,
+                                    self.probabilities.tobytes())
+
     # -- construction ------------------------------------------------------
 
     @classmethod
@@ -273,6 +279,16 @@ class Histogram:
         first = int(np.flatnonzero(keep)[0])
         return Histogram(float(grid[first]), self.width,
                          probabilities[keep])
+
+
+def _restore_histogram(cls, start, width, buffer):
+    """Unpickle a :class:`Histogram`; the probabilities are a writeable
+    float64 copy of ``buffer``."""
+    histogram = cls.__new__(cls)
+    histogram.start = start
+    histogram.width = width
+    histogram.probabilities = np.frombuffer(bytearray(buffer))
+    return histogram
 
 
 def _grouped_histograms(values, sizes, n_bins):

@@ -8,10 +8,21 @@ fits of the travel-time models: every traversal is appended to a
 ``Histogram.from_samples`` (or a ``GaussianMixture`` fit).  They return
 the ``{key: TimeVaryingDistribution}`` a fitted model holds, in the
 model's key order.
+
+``skyline_reference`` is the route-skyline search on 2-element numpy
+label arrays that ``SkylineRouter.skyline`` replaced; it is the oracle
+only where ``max_labels`` never binds (when it binds, it can re-queue a
+node forever).  ``_dominance_prune_pairwise`` is the k² pairwise
+stochastic-dominance prune that ``dominance_prune`` replaced.
 """
 
 import numpy as np
 
+from repro.decision.pareto import dominates
+from repro.decision.stochastic import (
+    first_order_dominates,
+    second_order_dominates,
+)
 from repro.governance.uncertainty import (
     GaussianMixture,
     Histogram,
@@ -109,3 +120,82 @@ def fit_path_reference(trips, *, max_subpath_edges=6, min_support=5,
         for key in store.samples
         if len(key) == 2 or store.count(key) >= min_support
     }
+
+
+def skyline_reference(network, objectives, origin, destination, *,
+                      max_labels=64):
+    """Route skyline with numpy labels: ``(path, cost)`` pairs."""
+    if origin == destination:
+        raise ValueError("origin and destination must differ")
+
+    def edge_cost(u, v):
+        return np.array([float(network.edge_attribute(u, v, name, 0.0))
+                         for name in objectives])
+
+    def merge(existing, candidates):
+        pool = list(existing)
+        changed = False
+        for cost, path in candidates:
+            dominated = False
+            for other_cost, _ in pool:
+                if dominates(other_cost, cost) or np.allclose(other_cost,
+                                                              cost):
+                    dominated = True
+                    break
+            if dominated:
+                continue
+            pool = [
+                (other_cost, other_path) for other_cost, other_path in pool
+                if not dominates(cost, other_cost)
+            ]
+            pool.append((cost, path))
+            changed = True
+        if not changed:
+            return None
+        if len(pool) > max_labels:
+            pool.sort(key=lambda label: label[0].sum())
+            pool = pool[:max_labels]
+        return pool
+
+    labels = {origin: [(np.zeros(len(objectives)), [origin])]}
+    queue = [origin]
+    while queue:
+        node = queue.pop(0)
+        node_labels = list(labels.get(node, []))
+        for successor in network.successors(node):
+            cost_row = edge_cost(node, successor)
+            candidates = [(cost + cost_row, path + [successor])
+                          for cost, path in node_labels
+                          if successor not in path]
+            if not candidates:
+                continue
+            merged = merge(labels.get(successor, []), candidates)
+            if merged is not None:
+                labels[successor] = merged
+                if successor not in queue:
+                    queue.append(successor)
+    return [(path, cost.copy()) for cost, path in
+            labels.get(destination, [])]
+
+
+def _dominance_prune_pairwise(candidates, *, order=1, tol=1e-9):
+    """Indices of the candidates no other candidate dominates, by k²
+    independent pairwise dominance calls (all of them when every one
+    is dominated within tolerance)."""
+    dominates_fn = (first_order_dominates if order == 1
+                    else second_order_dominates)
+    candidates = list(candidates)
+    survivors = []
+    for index, candidate in enumerate(candidates):
+        dominated = False
+        for other_index, other in enumerate(candidates):
+            if other_index == index:
+                continue
+            if dominates_fn(other, candidate, tol=tol):
+                dominated = True
+                break
+        if not dominated:
+            survivors.append(index)
+    if not survivors:
+        survivors = list(range(len(candidates)))
+    return survivors

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import DecisionServer, RoadNetwork
 from repro.datasets import TrafficSimulator
@@ -17,7 +19,10 @@ from repro.decision import (
     pareto_front,
     scalarize,
 )
+from repro.observability.metrics import use_registry
 from repro.serve import RouteQuery
+
+from .oracles import skyline_reference
 
 
 @pytest.fixture(scope="module")
@@ -111,6 +116,37 @@ class TestStochasticRouter:
         with pytest.raises(ValueError):
             router.best_departure(origin, destination, 10.0, [])
 
+    def test_every_query_publishes_its_memo_lookups(self,
+                                                    routing_setup):
+        """Each public query flushes its lookups itself (returning or
+        raising), so the counter equals ``cache_info()`` before any
+        ``cache_info()`` or ``best_path`` call flushes them."""
+        network, _, model, origin, destination = routing_setup
+        queries = [
+            lambda router: router.mean_cost_route(
+                origin, destination, departure_minute=480),
+            lambda router: router.arrival_windows(
+                origin, destination, [20.0, 30.0], departure_minute=480),
+            lambda router: router.candidate_paths(origin, destination),
+            lambda router: router.candidate_distributions(
+                origin, destination, 480),
+            lambda router: router.candidate_paths(origin, (9, 9)),
+        ]
+        with use_registry() as registry:
+            router = StochasticRouter(network, model, n_candidates=4)
+            for query in queries:
+                try:
+                    query(router)
+                except KeyError:
+                    pass
+                counter = registry.get(
+                    "decision.router_memo_lookups_total")
+                published = (counter.value(outcome="hit"),
+                             counter.value(outcome="miss"))
+                info = router.cache_info()
+                assert published == (info["hits"], info["misses"])
+            assert info["hits"] > 0 and info["misses"] > 0
+
     def test_rejects_bad_cost_model(self, routing_setup):
         network = routing_setup[0]
         with pytest.raises(TypeError):
@@ -186,6 +222,144 @@ class TestPareto:
         router = SkylineRouter(network, ["time", "energy"])
         with pytest.raises(ValueError):
             router.skyline((0, 0), (0, 0))
+
+
+OBJECTIVES = ["a", "b", "c"]
+
+
+def costed_grid(rows, cols, values):
+    """A grid whose edges take objective costs from ``values`` in
+    ``edges()`` order, objective by objective within each edge."""
+    network = RoadNetwork.grid(rows, cols)
+    values = iter(values)
+    for u, v in network.edges():
+        for name in OBJECTIVES:
+            network.set_edge_attribute(u, v, name, next(values))
+    return network
+
+
+def n_costs(rows, cols):
+    """How many values :func:`costed_grid` takes."""
+    return 2 * (rows * (cols - 1) + cols * (rows - 1)) * len(OBJECTIVES)
+
+
+def uniform_grid(rows, cols, seed):
+    rng = np.random.default_rng(seed)
+    return costed_grid(rows, cols,
+                       rng.uniform(0.1, 3.0, n_costs(rows, cols)).tolist())
+
+
+def path_cost(network, path, objectives):
+    """The cost a label accumulates along ``path``: edge costs added
+    left to right from zero."""
+    total = [0.0] * len(objectives)
+    for u, v in zip(path, path[1:]):
+        for index, name in enumerate(objectives):
+            total[index] += network.edge_attribute(u, v, name)
+    return total
+
+
+@st.composite
+def skyline_cases(draw, values):
+    """A grid, its objectives and an origin-destination pair."""
+    rows = draw(st.integers(2, 4))
+    cols = draw(st.integers(2, 4))
+    objectives = OBJECTIVES[:draw(st.integers(2, 3))]
+    network = costed_grid(rows, cols, draw(values(n_costs(rows, cols))))
+    nodes = network.nodes()
+    origin, destination = draw(st.lists(
+        st.sampled_from(nodes), min_size=2, max_size=2, unique=True))
+    return network, objectives, origin, destination
+
+
+def tied_values(n):
+    """Quarter-integer costs in [0, 4]: exact sums, ties and zeros."""
+    return st.lists(st.integers(0, 16).map(lambda k: k / 4),
+                    min_size=n, max_size=n)
+
+
+def uniform_values(n):
+    return st.integers(0, 2**32 - 1).map(
+        lambda seed: np.random.default_rng(seed).uniform(0.0, 3.0, n)
+        .tolist())
+
+
+class TestSkylineSearch:
+    """``SkylineRouter.skyline`` on float-tuple labels: the numpy-label
+    search's output where the cap never binds, termination where it
+    does, and typed errors."""
+
+    @settings(deadline=None, max_examples=60, derandomize=True)
+    @given(case=st.one_of(skyline_cases(tied_values),
+                          skyline_cases(uniform_values)))
+    def test_matches_reference_when_the_cap_never_binds(self, case):
+        network, objectives, origin, destination = case
+        got = SkylineRouter(network, objectives, max_labels=10**6) \
+            .skyline(origin, destination)
+        want = skyline_reference(network, objectives, origin,
+                                 destination, max_labels=10**6)
+        assert [(path, cost.dtype, cost.tobytes()) for path, cost in got] \
+            == [(path, cost.dtype, cost.tobytes()) for path, cost in want]
+
+    @settings(deadline=None, max_examples=80, derandomize=True)
+    @given(case=skyline_cases(tied_values),
+           max_labels=st.integers(1, 4))
+    def test_capped_search_ends_with_a_valid_skyline(self, case,
+                                                     max_labels):
+        network, objectives, origin, destination = case
+        skyline = SkylineRouter(network, objectives,
+                                max_labels=max_labels) \
+            .skyline(origin, destination)
+        assert 1 <= len(skyline) <= max_labels
+        costs = np.array([cost for _, cost in skyline])
+        assert pareto_front(costs) == list(range(len(skyline)))
+        for path, cost in skyline:
+            assert path[0] == origin and path[-1] == destination
+            assert len(set(path)) == len(path)
+            network.path_edges(path)  # every hop is an edge
+            assert cost.tolist() == path_cost(network, path, objectives)
+
+    def test_binding_cap_terminates(self):
+        """A candidate admitted and then cut by the cap used to re-queue
+        its node forever; this case never returned."""
+        network = uniform_grid(3, 2, seed=3)
+        skyline = SkylineRouter(network, OBJECTIVES, max_labels=1) \
+            .skyline((0, 0), (2, 1))
+        path = [(0, 0), (0, 1), (1, 1), (2, 1)]
+        assert [p for p, _ in skyline] == [path]
+        assert skyline[0][1].tolist() == path_cost(network, path,
+                                                   OBJECTIVES)
+
+    @pytest.mark.parametrize("seed", [8, 11, 25, 27])
+    def test_other_binding_caps_terminate(self, seed):
+        network = uniform_grid(3, 2, seed=seed)
+        skyline = SkylineRouter(network, OBJECTIVES, max_labels=1) \
+            .skyline((0, 0), (2, 1))
+        assert len(skyline) == 1
+        assert skyline[0][0][0] == (0, 0)
+        assert skyline[0][0][-1] == (2, 1)
+
+    def test_unknown_origin_raises_key_error(self):
+        router = SkylineRouter(uniform_grid(2, 2, seed=0), ["a", "b"])
+        with pytest.raises(KeyError, match=r"\(9, 9\)"):
+            router.skyline((9, 9), (1, 1))
+
+    def test_unknown_destination_raises_key_error(self):
+        router = SkylineRouter(uniform_grid(2, 2, seed=0), ["a", "b"])
+        with pytest.raises(KeyError, match=r"\(9, 9\)"):
+            router.skyline((0, 0), (9, 9))
+
+    def test_edge_without_an_objective_raises_key_error(self):
+        network = uniform_grid(2, 2, seed=0)
+        network.graph.edges[(0, 1), (1, 1)].pop("b")
+        router = SkylineRouter(network, ["a", "b"])
+        with pytest.raises(KeyError,
+                           match=r"\(\(0, 1\), \(1, 1\)\).*'b'"):
+            router.skyline((0, 0), (1, 1))
+
+    def test_successors_of_unknown_node_raise_key_error(self):
+        with pytest.raises(KeyError, match=r"\(9, 9\)"):
+            RoadNetwork.grid(2, 2).successors((9, 9))
 
 
 class TestPreference:

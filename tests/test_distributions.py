@@ -1,5 +1,8 @@
 """Tests for repro.governance.uncertainty.distributions."""
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -48,6 +51,67 @@ class TestHistogramConstruction:
     def test_probabilities_normalized(self):
         histogram = Histogram(0.0, 1.0, [2.0, 2.0])
         assert histogram.probabilities.sum() == pytest.approx(1.0)
+
+
+def same_histogram(first, second):
+    """Same type, start, width and probability bits."""
+    return (type(first) is type(second)
+            and first.start.hex() == second.start.hex()
+            and first.width.hex() == second.width.hex()
+            and first.probabilities.dtype == second.probabilities.dtype
+            and first.probabilities.tobytes()
+            == second.probabilities.tobytes())
+
+
+class TestHistogramPickling:
+    """A histogram pickles as ``(start, width, probability bytes)`` and
+    restores bit for bit, without renormalizing."""
+
+    @settings(deadline=None, max_examples=40, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), n_bins=st.integers(1, 40),
+           protocol=st.integers(2, pickle.HIGHEST_PROTOCOL))
+    def test_round_trip_keeps_every_bit(self, seed, n_bins, protocol):
+        rng = np.random.default_rng(seed)
+        weights = rng.random(n_bins) * (rng.random(n_bins) > 0.3)
+        weights[rng.integers(n_bins)] += 1e-300  # a positive sum
+        histogram = Histogram(rng.normal(0, 1e3), rng.uniform(1e-6, 9),
+                              weights)
+        restored = pickle.loads(pickle.dumps(histogram, protocol))
+        assert same_histogram(restored, histogram)
+        assert restored.probabilities.flags.writeable
+
+    def test_restore_does_not_renormalize(self):
+        histogram = next(
+            candidate for candidate in (
+                Histogram(0.0, 1.0,
+                          np.random.default_rng(seed).random(7))
+                for seed in range(100))
+            if Histogram(0.0, 1.0, candidate.probabilities)
+            .probabilities.tobytes()
+            != candidate.probabilities.tobytes())
+        restored = pickle.loads(pickle.dumps(histogram))
+        assert same_histogram(restored, histogram)
+
+    def test_read_only_probabilities_restore_writeable(self):
+        weights = np.array([0.25, 0.5, 0.25])
+        weights.flags.writeable = False
+        histogram = Histogram(2.0, 0.5, weights)
+        histogram.probabilities.flags.writeable = False
+        restored = pickle.loads(pickle.dumps(histogram))
+        assert same_histogram(restored, histogram)
+        assert restored.probabilities.flags.writeable
+        restored.probabilities[0] = 0.0
+        assert histogram.probabilities[0] == 0.25
+
+    def test_copies_and_containers(self):
+        histogram = Histogram.from_samples(
+            np.random.default_rng(4).normal(5.0, 1.0, 200), n_bins=12)
+        payload = {"edge": [histogram, histogram]}
+        restored = pickle.loads(pickle.dumps(payload))
+        assert restored["edge"][0] is restored["edge"][1]
+        assert same_histogram(restored["edge"][0], histogram)
+        assert same_histogram(copy.deepcopy(histogram), histogram)
+        assert restored["edge"][0].mean() == histogram.mean()
 
 
 class TestHistogramQueries:

@@ -2,10 +2,9 @@
 
 Each vectorized/indexed kernel must return the same results as the
 brute-force implementation it replaced; the brute-force paths are kept
-in the library as private reference oracles
-(``RoadNetwork._candidate_edges_scan``, ``RoadNetwork._nearest_node_scan``,
-``HmmMapMatcher._match_reference``,
-``repro.decision.stochastic._dominance_prune_pairwise``).
+as reference oracles (``RoadNetwork._candidate_edges_scan``,
+``RoadNetwork._nearest_node_scan``, ``HmmMapMatcher._match_reference``
+in the library, ``_dominance_prune_pairwise`` in ``tests/oracles.py``).
 """
 
 import math
@@ -18,13 +17,14 @@ from repro._validation import trapezoid
 from repro.datasets import TrafficSimulator, TrajectoryGenerator
 from repro.decision import StochasticRouter, RiskAverseUtility
 from repro.decision.stochastic import (
-    _dominance_prune_pairwise,
     dominance_prune,
     first_order_dominates,
     second_order_dominates,
 )
 from repro.governance.fusion import HmmMapMatcher
 from repro.governance.uncertainty import Histogram, PathCentricModel
+
+from .oracles import _dominance_prune_pairwise
 
 
 @pytest.fixture(scope="module")
