@@ -43,8 +43,8 @@ from repro.serve import (
     DistanceQuery,
     MatchQuery,
     RouteQuery,
-    closed_loop,
 )
+from tests.loadgen import closed_loop
 
 ARTIFACT_PATH = pathlib.Path(__file__).resolve().parent.parent / \
     "BENCH_e28.json"

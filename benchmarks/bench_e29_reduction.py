@@ -52,11 +52,7 @@ from repro.decision import (
     select_best,
     wasserstein_matrix,
 )
-from repro.decision.reduction import (
-    _forward_selection,
-    _reduce_reference,
-    _wasserstein_pairwise,
-)
+from repro.decision.reduction import _forward_selection
 from repro.decision.utility import (
     DeadlineUtility,
     RiskAverseUtility,
@@ -64,6 +60,7 @@ from repro.decision.utility import (
 )
 from repro.governance.uncertainty import EdgeCentricModel, Histogram
 from repro.observability.metrics import use_registry
+from tests.oracles import reduce_reference, wasserstein_pairwise
 
 ARTIFACT_PATH = pathlib.Path(__file__).resolve().parent.parent / \
     "BENCH_e29.json"
@@ -141,7 +138,7 @@ def bench_wasserstein_kernel(ensemble, rng):
               rng.choice(len(ensemble), size=min(80, len(ensemble)),
                          replace=False)]
     start = time.perf_counter()
-    reference = _wasserstein_pairwise(sample)
+    reference = wasserstein_pairwise(sample)
     reference_s = time.perf_counter() - start
     start = time.perf_counter()
     kernel = wasserstein_matrix(sample)
@@ -189,7 +186,7 @@ def bench_selection_oracle(ensemble, rng):
     distance = wasserstein_matrix(sample)
     weights = np.full(len(sample), 1.0 / len(sample))
     indices = _forward_selection(distance, weights, 12)
-    ref_indices = _reduce_reference(distance, weights, 12)
+    ref_indices = reduce_reference(distance, weights, 12)
 
     def achieved_distortion(selected):
         return float(weights @ distance[:, list(selected)].min(axis=1))

@@ -3,8 +3,9 @@ benchmarks.
 
 One canonical way to turn raw per-request latency samples into the
 percentile summary every harness reports (the ROADMAP's shared
-load-gen/latency-histogram harness): :class:`repro.serve.closed_loop`
-folds its client samples through :func:`summarize_latencies`, and the
+load-gen/latency-histogram harness): the closed-loop load generator
+of the serving tests and E28 (``tests/loadgen.py``) folds its client
+samples through :func:`summarize_latencies`, and the
 E28/E29 benchmarks reuse the same summary for their timed phases, so
 "p99" always means the same estimator everywhere.
 """

@@ -192,16 +192,12 @@ def _attach(handle):
     import numpy as np
     from multiprocessing import shared_memory
 
+    # Attaching registers the name with the resource tracker, which
+    # the worker shares with the parent (see ProcessExecutor._make_pool),
+    # so the registration is the parent's own and its unlink removes it.
+    # A tracker of the worker's own would unlink the segment at worker
+    # exit (cpython#82300).
     segment = shared_memory.SharedMemory(name=handle.name)
-    try:
-        # The parent owns the segment's lifecycle; without this the
-        # worker's resource tracker "helpfully" unlinks it at worker
-        # exit (cpython#82300) and later attaches fail.
-        from multiprocessing import resource_tracker
-
-        resource_tracker.unregister(segment._name, "shared_memory")
-    except Exception:
-        pass
     array = np.ndarray(handle.shape, dtype=np.dtype(handle.dtype),
                        buffer=segment.buf)
     array.flags.writeable = False
@@ -572,6 +568,12 @@ class ProcessExecutor(Executor):
                       in multiprocessing.get_all_start_methods()
                       else "spawn"))
         context = multiprocessing.get_context(method)
+        # Start the shared-memory resource tracker before any worker
+        # forks, so every worker inherits it; otherwise each one starts
+        # its own tracker process on its first segment attach.
+        from multiprocessing import resource_tracker
+
+        resource_tracker.ensure_running()
         return ProcessPoolExecutor(max_workers=self.max_workers,
                                    mp_context=context)
 

@@ -48,18 +48,147 @@ def _memoized(store, key, stamp, lock, build, *args):
     return entry[1]
 
 
+def _check_nodes(graph, *nodes):
+    """Raise :class:`KeyError` for the first of ``nodes`` not in
+    ``graph``."""
+    for node in nodes:
+        if node not in graph:
+            raise KeyError(f"node {node!r} is not in the network")
+
+
 @contextlib.contextmanager
 def _typed_path_errors(graph, *nodes):
     """Run a networkx path search over ``nodes`` with the repo's error
     types: :class:`KeyError` for a node not in ``graph``,
     :class:`ValueError` when no path exists."""
-    for node in nodes:
-        if node not in graph:
-            raise KeyError(f"node {node!r} is not in the network")
+    _check_nodes(graph, *nodes)
     try:
         yield
     except nx.NetworkXNoPath as error:
         raise ValueError(str(error)) from error
+
+
+def _bidirectional_dijkstra(adjacency, source, target, ignore_nodes,
+                            ignore_edges):
+    """networkx 3.6's ``_bidirectional_dijkstra``, the search inside its
+    Yen, over integer adjacency lists: ``adjacency`` is the pair of
+    successor and predecessor rows of ``(weight, neighbour)``.
+
+    Returns ``(length, path)`` of a shortest path that avoids the
+    nodes in ``ignore_nodes`` and the edges in ``ignore_edges``, or
+    ``None`` when there is none.  ``ignore_edges`` is a pair of dicts,
+    ``u -> {v}`` and ``v -> {u}``, so a settled node's blocked
+    neighbours are looked up once per direction.  It alternates
+    directions, counts heap pushes and keeps the first best meeting
+    point exactly as networkx does, so it returns the same path.
+    Paths are kept as parent pointers, not per-node lists: a node's
+    parent is set only while it is unsettled, so the chain behind a
+    settled node never changes.
+    """
+    if source in ignore_nodes or target in ignore_nodes:
+        return None
+    if source == target:
+        return 0, [source]
+    settled = ({}, {})
+    seen = ({source: 0}, {target: 0})
+    parents = ({}, {})
+    fringe = ([(0, 0, source)], [(0, 1, target)])
+    pushes = 2
+    push, pop = heapq.heappush, heapq.heappop
+    meet = best = None
+    direction = 1
+    while fringe[0] and fringe[1]:
+        direction = 1 - direction
+        heap = fringe[direction]
+        dist, _, v = pop(heap)
+        done = settled[direction]
+        if v in done:
+            continue
+        done[v] = dist
+        if v in settled[1 - direction]:
+            node, forward, backward = meet
+            path = [node]
+            while forward is not None:
+                path.append(forward)
+                forward = parents[0].get(forward)
+            path.reverse()
+            while backward is not None:
+                path.append(backward)
+                backward = parents[1].get(backward)
+            return best, path
+        reached, parent = seen[direction], parents[direction]
+        other = seen[1 - direction]
+        blocked = ignore_edges[direction].get(v, ())
+        for weight, w in adjacency[direction][v]:
+            if w in ignore_nodes or w in blocked:
+                continue
+            length = dist + weight
+            if w in done:
+                if length < done[w]:
+                    raise ValueError(
+                        "Contradictory paths found: negative weights?")
+                continue
+            known = reached.get(w)
+            if known is None or length < known:
+                reached[w] = length
+                push(heap, (length, pushes, w))
+                pushes += 1
+                parent[w] = v
+                if w in other:
+                    total = seen[0][w] + seen[1][w]
+                    if meet is None or best > total:
+                        best = total
+                        meet = (w, parents[0].get(w), parents[1].get(w))
+    return None
+
+
+def _yen(adjacency, source, target, k):
+    """The first ``k`` paths of networkx 3.6's ``shortest_simple_paths``
+    (Yen's algorithm and its ``PathBuffer``) over integer adjacency,
+    the pair of successor and predecessor rows.
+
+    Root lengths are summed edge by edge from 0, as networkx's ``sum``
+    does, and candidates are heap-ordered by ``(length, push count)``,
+    so ties resolve as in networkx.  Returns index lists, empty when no
+    path exists.
+    """
+    first = _bidirectional_dijkstra(adjacency, source, target, (),
+                                    ({}, {}))
+    if first is None:
+        return []
+    found = []
+    heap = [(first[0], 0, first[1])]
+    queued = {tuple(first[1])}
+    counter = itertools.count(1)
+    while heap:
+        path = heapq.heappop(heap)[2]
+        queued.remove(tuple(path))
+        found.append(path)
+        if len(found) == k:
+            break
+        ignore_nodes, ignore_edges = set(), ({}, {})
+        root_length = 0
+        for i in range(1, len(path)):
+            root = path[:i]
+            if i > 1:
+                u, v = path[i - 2], path[i - 1]
+                root_length += next(w for w, x in adjacency[0][u] if x == v)
+            for other in found:
+                if other[:i] == root:
+                    u, v = other[i - 1], other[i]
+                    ignore_edges[0].setdefault(u, set()).add(v)
+                    ignore_edges[1].setdefault(v, set()).add(u)
+            spur = _bidirectional_dijkstra(adjacency, root[-1], target,
+                                           ignore_nodes, ignore_edges)
+            if spur is not None:
+                candidate = root[:-1] + spur[1]
+                key = tuple(candidate)
+                if key not in queued:
+                    heapq.heappush(heap, (root_length + spur[0],
+                                          next(counter), candidate))
+                    queued.add(key)
+            ignore_nodes.add(root[-1])
+    return found
 
 
 class _GeometryIndex:
@@ -224,25 +353,33 @@ class _GeometryIndex:
             np.arange(len(counts), dtype=np.int32), counts)[order]
         return table.reshape(self.nx_cells, self.ny_cells, -1)
 
-    def adjacency(self, weight, edits):
+    def adjacency(self, weight, edits, *, reverse=False):
         """Integer adjacency by ``weight``: ``adjacency[i]`` lists
-        ``(edge_weight, successor_index)`` over ``node_list`` rows.
+        ``(edge_weight, successor_index)`` over ``node_list`` rows, in
+        the graph's successor order; with ``reverse``, ``(edge_weight,
+        predecessor_index)`` in its predecessor order.
 
-        One slot per weight, stamped with ``edits``, the count of
+        Weights follow networkx: an edge without ``weight`` weighs 1,
+        and one whose ``weight`` is ``None`` is left out.  One slot per
+        (weight, direction), stamped with ``edits``, the count of
         :meth:`RoadNetwork.set_edge_attribute` calls on ``weight``: a
         re-weighting replaces the slot.
         """
-        return _memoized(self._adjacency, weight, edits, self._lock,
-                         self._build_adjacency, weight)
+        key = ("reverse", weight) if reverse else weight
+        return _memoized(self._adjacency, key, edits, self._lock,
+                         self._build_adjacency, weight,
+                         self._graph.pred if reverse else self._graph.succ)
 
-    def _build_adjacency(self, weight):
-        return [
-            [
-                (float(data[weight]), self.index_of[succ])
-                for succ, data in self._graph.adj[node].items()
-            ]
-            for node in self.node_list
-        ]
+    def _build_adjacency(self, weight, neighbours):
+        rows = []
+        for node in self.node_list:
+            row = []
+            for other, data in neighbours[node].items():
+                value = data.get(weight, 1)
+                if value is not None:
+                    row.append((float(value), self.index_of[other]))
+            rows.append(row)
+        return rows
 
     #: Max (point, edge) slots projected at once by
     #: :meth:`trace_candidates`; bounds its scratch memory when a
@@ -612,16 +749,6 @@ class RoadNetwork:
                 fractions[0].tolist())
         ]
 
-    def _candidate_edges_scan(self, point, radius):
-        """Brute-force O(E) reference for :meth:`candidate_edges`."""
-        candidates = []
-        for u, v in self._graph.edges():
-            distance, fraction = self.project_point(point, u, v)
-            if distance <= radius:
-                candidates.append((u, v, distance, fraction))
-        candidates.sort(key=lambda item: item[2])
-        return candidates
-
     def nearest_node(self, point):
         """The node closest to planar ``point`` (grid-index backed).
 
@@ -632,17 +759,6 @@ class RoadNetwork:
         if index is None:
             return None
         return self._geometry().node_list[index]
-
-    def _nearest_node_scan(self, point):
-        """Brute-force O(V) reference for :meth:`nearest_node`."""
-        px, py = point
-        best, best_distance = None, math.inf
-        for node in self._graph.nodes():
-            x, y = self.position(node)
-            distance = math.hypot(px - x, py - y)
-            if distance < best_distance:
-                best, best_distance = node, distance
-        return best
 
     # -- paths ----------------------------------------------------------------
 
@@ -658,12 +774,31 @@ class RoadNetwork:
                                            weight=weight)
 
     def k_shortest_paths(self, source, target, k, weight="length"):
-        """The ``k`` shortest simple paths (Yen's algorithm via networkx)."""
+        """The ``k`` shortest simple paths from ``source`` to ``target``.
+
+        Yen's algorithm over the snapshot's integer adjacency, ported
+        from networkx 3.6's ``shortest_simple_paths`` so that it returns
+        the same paths in the same order, ties included.  ``weight``
+        names an edge attribute; an edge without it weighs 1 and one
+        whose value is ``None`` is skipped.  Fewer than ``k`` paths come
+        back when fewer exist.  An unknown node raises
+        :class:`KeyError`, no path :class:`ValueError`.
+
+        Like :meth:`dijkstra_array`, it sees ``weight`` changes made
+        through :meth:`set_edge_attribute`, not direct ``graph`` edits.
+        """
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
-        with _typed_path_errors(self._graph, source, target):
-            return list(itertools.islice(nx.shortest_simple_paths(
-                self._graph, source, target, weight=weight), k))
+        _check_nodes(self._graph, source, target)
+        geometry = self._geometry()
+        edits = self._edits.get(weight, 0)
+        index_of, nodes = geometry.index_of, geometry.node_list
+        adjacency = (geometry.adjacency(weight, edits),
+                     geometry.adjacency(weight, edits, reverse=True))
+        paths = _yen(adjacency, index_of[source], index_of[target], k)
+        if not paths:
+            raise ValueError(f"No path between {source} and {target}.")
+        return [[nodes[i] for i in path] for path in paths]
 
     def path_edges(self, path):
         """Convert a node path into its ``(u, v)`` edge list."""

@@ -45,7 +45,7 @@ import math
 import numpy as np
 
 from ..._lru import MeteredLRU
-from ..._validation import check_finite_points, check_positive
+from ..._validation import check_positive
 from ...datatypes import RoadNetwork, Trajectory
 
 __all__ = ["HmmMapMatcher"]
@@ -165,21 +165,6 @@ class HmmMapMatcher:
 
     def clear_cache(self):
         self._distances.clear()
-
-    def _route_distance(self, candidate_a, candidate_b, cutoff=None):
-        """Network distance between two on-edge positions."""
-        (u1, v1, _, f1) = candidate_a
-        (u2, v2, _, f2) = candidate_b
-        length_a = self.network.edge_length(u1, v1)
-        length_b = self.network.edge_length(u2, v2)
-        if (u1, v1) == (u2, v2) and f2 >= f1:
-            return (f2 - f1) * length_a
-        remaining = (1.0 - f1) * length_a
-        index_of, _ = self.network.node_index()
-        through = self._distances_from(v1, cutoff)[index_of[u2]]
-        if math.isinf(through):
-            return math.inf
-        return remaining + through + f2 * length_b
 
     def _transitions(self, geometry, points, edges, fractions, valid):
         """Log transition probabilities of every step, ``(T-1, K, K)``.
@@ -312,70 +297,6 @@ class HmmMapMatcher:
         cold matcher.  Returns one :meth:`match` result per trajectory.
         """
         return [self.match(trajectory) for trajectory in trajectories]
-
-    def _match_reference(self, trajectory):
-        """Pre-vectorization per-pair Viterbi (reference oracle).
-
-        Identical model with unbounded Dijkstra searches and pure-Python
-        loops over per-point :meth:`RoadNetwork.candidate_edges` layers;
-        kept for equivalence tests and the E26 benchmark.
-        """
-        if not isinstance(trajectory, Trajectory):
-            raise TypeError("trajectory must be a Trajectory")
-        points = [(p.x, p.y) for p in trajectory]
-        check_finite_points(points, "point")
-        self._sync_revision()
-        layers = []
-        for index, point in enumerate(points):
-            candidates = self.network.candidate_edges(
-                point, self.candidate_radius)[: self.max_candidates]
-            if not candidates:
-                raise ValueError(
-                    f"no candidate edge within {self.candidate_radius} of "
-                    f"point {index}; the trajectory is off the map"
-                )
-            layers.append(candidates)
-        emissions_arrays = [
-            -0.5 * (np.array([c[2] for c in layer]) / self.sigma) ** 2
-            for layer in layers
-        ]
-        scores = list(emissions_arrays[0])
-        backpointers = []
-        for step in range(1, len(layers)):
-            straight = math.hypot(
-                points[step][0] - points[step - 1][0],
-                points[step][1] - points[step - 1][1],
-            )
-            new_scores = []
-            pointers = []
-            for j, candidate in enumerate(layers[step]):
-                best_score, best_prev = -math.inf, 0
-                for prev_index, previous in enumerate(layers[step - 1]):
-                    route = self._route_distance(previous, candidate)
-                    if math.isinf(route):
-                        continue
-                    transition = -abs(route - straight) / self.beta
-                    score = scores[prev_index] + transition
-                    if score > best_score:
-                        best_score, best_prev = score, prev_index
-                new_scores.append(best_score
-                                  + emissions_arrays[step][j])
-                pointers.append(best_prev)
-            scores = new_scores
-            backpointers.append(pointers)
-            if all(math.isinf(-s) for s in scores):
-                raise ValueError(
-                    f"no connected matching through point {step}; "
-                    "the network may be disconnected along the trace"
-                )
-
-        best = int(np.argmax(scores))
-        chosen = [best]
-        for pointers in reversed(backpointers):
-            best = pointers[best]
-            chosen.append(best)
-        chosen.reverse()
-        return [layers[i][c] for i, c in enumerate(chosen)]
 
     def matched_path(self, trajectory):
         """The full node path the vehicle most likely travelled.

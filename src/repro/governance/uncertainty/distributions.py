@@ -63,6 +63,17 @@ class Histogram:
         return _restore_histogram, (type(self), self.start, self.width,
                                     self.probabilities.tobytes())
 
+    @classmethod
+    def _trusted(cls, start, width, probabilities):
+        """A histogram of fields that are already valid: float ``start``,
+        positive float ``width`` and a normalised float64 vector, stored
+        as given, without checks or copies."""
+        histogram = cls.__new__(cls)
+        histogram.start = start
+        histogram.width = width
+        histogram.probabilities = probabilities
+        return histogram
+
     # -- construction ------------------------------------------------------
 
     @classmethod
@@ -284,11 +295,7 @@ class Histogram:
 def _restore_histogram(cls, start, width, buffer):
     """Unpickle a :class:`Histogram`; the probabilities are a writeable
     float64 copy of ``buffer``."""
-    histogram = cls.__new__(cls)
-    histogram.start = start
-    histogram.width = width
-    histogram.probabilities = np.frombuffer(bytearray(buffer))
-    return histogram
+    return cls._trusted(start, width, np.frombuffer(bytearray(buffer)))
 
 
 def _grouped_histograms(values, sizes, n_bins):
@@ -299,7 +306,9 @@ def _grouped_histograms(values, sizes, n_bins):
     ``from_samples`` does per group: the padded range, the ``linspace``
     edges, and ``np.histogram``'s uniform-bin rule with its ±1 index
     corrections and inclusive last bin, so every histogram is
-    bit-identical to the per-group one.
+    bit-identical to the per-group one.  The histograms are valid by
+    construction, so they skip ``Histogram.__init__``'s checks; its
+    second normalisation is kept, row by row, for the same bits.
     """
     sizes = np.asarray(sizes, dtype=np.intp)
     if not len(sizes):
@@ -343,9 +352,11 @@ def _grouped_histograms(values, sizes, n_bins):
     width = edges[:, 1] - edges[:, 0]
     centers = edges[:, 0] + width / 2
     probabilities = counts / counts.sum(axis=1, keepdims=True)
+    probabilities /= probabilities.sum(axis=1, keepdims=True)
     return [
-        Histogram(center, bin_width, row)
-        for center, bin_width, row in zip(centers, width, probabilities)
+        Histogram._trusted(center, bin_width, row)
+        for center, bin_width, row in zip(centers.tolist(), width.tolist(),
+                                          probabilities)
     ]
 
 

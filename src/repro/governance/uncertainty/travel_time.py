@@ -27,7 +27,7 @@ import math
 import numpy as np
 
 from ..._validation import check_positive, trapezoid
-from .distributions import GaussianMixture, _grouped_histograms
+from .distributions import GaussianMixture, Histogram, _grouped_histograms
 
 __all__ = [
     "TimeVaryingDistribution",
@@ -70,20 +70,36 @@ class TimeVaryingDistribution:
     """
 
     def __init__(self, intervals, distributions):
-        intervals = [tuple(map(float, pair)) for pair in intervals]
+        intervals = _checked_intervals(intervals)
         if len(intervals) != len(distributions):
             raise ValueError("intervals and distributions must align")
-        if not intervals:
-            raise ValueError("need at least one interval")
-        for start, end in intervals:
-            if end <= start:
-                raise ValueError(f"empty interval ({start}, {end})")
         self.intervals = intervals
         self.distributions = list(distributions)
+
+    @classmethod
+    def _shared(cls, intervals, distributions):
+        """A distribution over an already checked ``intervals`` tuple,
+        held by reference, so one model's keys share one tuple."""
+        distribution = cls.__new__(cls)
+        distribution.intervals = intervals
+        distribution.distributions = distributions
+        return distribution
 
     def at(self, minute):
         """The distribution in force at ``minute`` (of day)."""
         return self.distributions[_interval_index(self.intervals, minute)]
+
+
+def _checked_intervals(intervals):
+    """``intervals`` as a tuple of float ``(start, end)`` pairs, each
+    non-empty, at least one."""
+    intervals = tuple(tuple(map(float, pair)) for pair in intervals)
+    if not intervals:
+        raise ValueError("need at least one interval")
+    for start, end in intervals:
+        if end <= start:
+            raise ValueError(f"empty interval ({start}, {end})")
+    return intervals
 
 
 def _interval_index(intervals, minutes):
@@ -93,6 +109,8 @@ def _interval_index(intervals, minutes):
     the first of them on a tie; one inside several gets the first.
     Works elementwise on an array and returns a 0-d index for a scalar.
     """
+    if len(intervals) == 1:
+        return np.zeros(np.shape(minutes), dtype=np.intp)
     minutes = np.mod(minutes, _DAY)
     index = np.argmin([abs((start + end) / 2 - minutes)
                        for start, end in intervals], axis=0)
@@ -103,34 +121,56 @@ def _interval_index(intervals, minutes):
     return index
 
 
+def _check_trip(index, path, edge_times, departure):
+    """Validate one trip; the error names it by ``index``."""
+    times = np.asarray(edge_times, dtype=float)
+    if times.shape != (max(len(path) - 1, 0),):
+        raise ValueError(
+            f"trip {index}: edge_times must match the path edges")
+    departure = float(departure)
+    if not (math.isfinite(departure) and np.isfinite(times).all()):
+        raise ValueError(
+            f"trip {index}: edge times and departure must be finite")
+
+
 def _trips_by_path(trips):
     """Validate ``(path, edge_times, departure_minute)`` trips and group
     them by path, in first-seen order.
 
-    Returns ``{path: (trip_indices, edge_times, departures)}`` and the
-    number of trips.  Every trip is checked before anything is returned,
-    so a bad trip leaves the caller's model as it was.
+    Returns ``{path: (trip_indices, times, departures)}``, with each
+    group's edge times stacked ``(n, E)`` and its departures ``(n,)``,
+    and the number of trips.  Each group is checked as one stack; when
+    any check fails, the trips are checked again one by one, so the
+    error names the first bad trip.  Nothing is returned unless every
+    trip is valid, so a bad trip leaves the caller's model as it was.
     """
+    rows = []
     groups = {}
-    n_trips = 0
-    for index, (path, edge_times, departure) in enumerate(trips):
-        n_trips += 1
-        path = tuple(path)
-        times = np.asarray(edge_times, dtype=float)
-        if times.shape != (max(len(path) - 1, 0),):
-            raise ValueError(
-                f"trip {index}: edge_times must match the path edges")
-        departure = float(departure)
-        if not (math.isfinite(departure) and np.isfinite(times).all()):
-            raise ValueError(
-                f"trip {index}: edge times and departure must be finite")
-        indices, stack, departures = groups.setdefault(path, ([], [], []))
-        indices.append(index)
-        stack.append(times)
-        departures.append(departure)
-    if n_trips == 0:
-        raise ValueError("fit needs at least one trip")
-    return groups, n_trips
+    try:
+        for row in trips:
+            rows.append(row)
+            path, edge_times, departure = row
+            indices, stack, departures = groups.setdefault(
+                tuple(path), ([], [], []))
+            indices.append(len(rows) - 1)
+            stack.append(edge_times)
+            departures.append(float(departure))
+        if not rows:
+            raise ValueError("fit needs at least one trip")
+        for path, (indices, stack, departures) in groups.items():
+            times = np.array(stack, dtype=float)
+            departures = np.array(departures)
+            if times.shape != (len(stack), max(len(path) - 1, 0)) or not (
+                    np.isfinite(times).all()
+                    and np.isfinite(departures).all()):
+                raise ValueError(f"trips on path {path!r} are invalid")
+            groups[path] = (indices, times, departures)
+    except Exception:
+        # Name the first bad trip, as checking trip by trip would.
+        for index, (path, edge_times, departure) in enumerate(rows):
+            _check_trip(index, tuple(path), edge_times, departure)
+        raise
+    return groups, len(rows)
 
 
 class _TravelTimeModel:
@@ -142,7 +182,9 @@ class _TravelTimeModel:
     — ``"histogram"`` (default) or ``"gmm"`` (a Gaussian mixture fit by
     EM, then discretized so the Histogram algebra still applies); the
     two options the paper names for uncertainty quantification.  A
-    fitted model keeps only its distributions, never the samples.
+    fitted model keeps only its distributions, never the samples, and
+    pickles them as columns: the keys, and each (key, interval)
+    histogram's start, width, length and probabilities stacked.
     """
 
     def __init__(self, intervals, n_bins, representation, n_components):
@@ -152,11 +194,42 @@ class _TravelTimeModel:
                 f"representation must be 'histogram' or 'gmm', "
                 f"got {representation!r}"
             )
-        self._intervals = [tuple(map(float, pair)) for pair in intervals]
+        self._intervals = _checked_intervals(intervals)
         self._n_bins = int(n_bins)
         self._representation = representation
         self._n_components = int(n_components)
         self._fitted = {}
+
+    def __getstate__(self):
+        state = self.__dict__.copy()
+        histograms = [histogram for fitted in state["_fitted"].values()
+                      for histogram in fitted.distributions]
+        state["_fitted"] = (
+            list(state["_fitted"]),
+            np.array([histogram.start for histogram in histograms]),
+            np.array([histogram.width for histogram in histograms]),
+            np.array([len(histogram) for histogram in histograms],
+                     dtype=np.intp),
+            np.concatenate([histogram.probabilities
+                            for histogram in histograms] or [[]]),
+        )
+        return state
+
+    def __setstate__(self, state):
+        keys, starts, widths, lengths, probabilities = state["_fitted"]
+        ends = np.cumsum(lengths).tolist()
+        rows = [probabilities[end - length:end]
+                for end, length in zip(ends, lengths.tolist())]
+        histograms = list(map(Histogram._trusted, starts.tolist(),
+                              widths.tolist(), rows))
+        intervals = state["_intervals"]
+        n_intervals = len(intervals)
+        state["_fitted"] = {
+            key: TimeVaryingDistribution._shared(
+                intervals, histograms[k * n_intervals:(k + 1) * n_intervals])
+            for k, key in enumerate(keys)
+        }
+        self.__dict__.update(state)
 
     def _spans(self, times, departures):
         """``(begin, end, durations, minutes)`` of the keys one path
@@ -178,8 +251,7 @@ class _TravelTimeModel:
         for path, (indices, stack, departures) in groups.items():
             if len(path) < 2:
                 continue
-            begin, end, durations, minutes = self._spans(
-                np.array(stack), np.array(departures))
+            begin, end, durations, minutes = self._spans(stack, departures)
             ids = [keys.setdefault(path[b:e + 1], len(keys))
                    for b, e in zip(begin, end)]
             n_spans[indices] = len(ids)
@@ -206,12 +278,15 @@ class _TravelTimeModel:
         keys, key_of, value, minute = self._traversals(trips)
         counts = np.bincount(key_of, minlength=len(keys))
         kept = np.array([len(key) == 2 or count >= min_support
-                         for key, count in zip(keys, counts)], dtype=bool)
+                         for key, count in zip(keys, counts.tolist())],
+                        dtype=bool)
         chosen = kept[key_of]
         n_intervals = len(self._intervals)
         group = key_of[chosen] * n_intervals + _interval_index(
             self._intervals, minute[chosen])
-        order = np.argsort(group, kind="stable")
+        # The narrowest key dtype lets numpy pick a radix sort.
+        order = np.argsort(group.astype(np.min_scalar_type(
+            int(group.max(initial=0)))), kind="stable")
         group, value = group[order], value[chosen][order]
         first = np.flatnonzero(np.diff(group, prepend=-1))
         sizes = np.diff(np.r_[first, len(group)])
@@ -229,15 +304,19 @@ class _TravelTimeModel:
         summaries = self._summaries(
             np.concatenate([value, value[gather]]),
             np.concatenate([sizes, counts[fallback_keys]]))
+        seg_key = seg_key.tolist()
         table = {key: [None] * n_intervals for key in seg_key}
-        for summary, key, interval in zip(summaries, seg_key, seg_interval):
+        for summary, key, interval in zip(summaries, seg_key,
+                                          seg_interval.tolist()):
             table[key][interval] = summary
-        for key, fallback in zip(fallback_keys, summaries[len(sizes):]):
+        for key, fallback in zip(fallback_keys.tolist(),
+                                 summaries[len(sizes):]):
             table[key] = [fallback if summary is None else summary
                           for summary in table[key]]
         return {
-            keys[key]: TimeVaryingDistribution(self._intervals, table[key])
-            for key in np.flatnonzero(kept)
+            keys[key]: TimeVaryingDistribution._shared(self._intervals,
+                                                       table[key])
+            for key in np.flatnonzero(kept).tolist()
         }
 
     def _summaries(self, values, sizes):

@@ -7,7 +7,6 @@ per-request deadline budgets, and sheds load it cannot serve in time
 instead of queueing doomed work.  ``docs/SERVING.md`` is the guide.
 """
 
-from .loadgen import LoadReport, closed_loop
 from .requests import (
     DistanceQuery,
     MatchQuery,
@@ -20,10 +19,8 @@ from .server import DecisionServer
 __all__ = [
     "DecisionServer",
     "DistanceQuery",
-    "LoadReport",
     "MatchQuery",
     "Overloaded",
     "RouteQuery",
     "ServeResult",
-    "closed_loop",
 ]

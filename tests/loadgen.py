@@ -1,6 +1,6 @@
 """Closed-loop load generation against a :class:`DecisionServer`.
 
-The harness behind the E28 serving benchmark and the CI smoke: spin
+The harness behind the E28 serving benchmark and the serving tests: spin
 up ``n_clients`` closed-loop clients (each submits its next request
 only after the previous one resolves — the standard way to measure a
 server at a bounded concurrency level), run for a fixed duration, and
@@ -21,7 +21,7 @@ import threading
 import time
 from dataclasses import dataclass, field
 
-from ..benchmarking.latency import summarize_latencies
+from repro.benchmarking.latency import summarize_latencies
 
 __all__ = ["LoadReport", "closed_loop"]
 

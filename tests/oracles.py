@@ -14,11 +14,28 @@ label arrays that ``SkylineRouter.skyline`` replaced; it is the oracle
 only where ``max_labels`` never binds (when it binds, it can re-queue a
 node forever).  ``_dominance_prune_pairwise`` is the k² pairwise
 stochastic-dominance prune that ``dominance_prune`` replaced.
+
+``candidate_edges_scan`` and ``nearest_node_scan`` are the brute-force
+scans behind ``RoadNetwork.candidate_edges`` and ``nearest_node``;
+``match_reference`` is the per-pair Viterbi that
+``HmmMapMatcher.match`` vectorised.  ``wasserstein_pairwise`` and
+``reduce_reference`` are the pairwise W1 matrix and the pure-Python
+forward selection behind ``wasserstein_matrix`` and
+``reduce_scenarios``.  ``k_shortest_reference`` is networkx's Yen,
+which ``RoadNetwork.k_shortest_paths`` ports.  ``check_trips_reference``
+is the trip-by-trip check the travel-time fits ran before grouping.
 """
 
+import itertools
+import math
+
+import networkx as nx
 import numpy as np
 
+from repro._validation import check_finite_points
+from repro.datatypes import Trajectory
 from repro.decision.pareto import dominates
+from repro.decision.reduction import wasserstein_distance
 from repro.decision.stochastic import (
     first_order_dominates,
     second_order_dominates,
@@ -199,3 +216,177 @@ def _dominance_prune_pairwise(candidates, *, order=1, tol=1e-9):
     if not survivors:
         survivors = list(range(len(candidates)))
     return survivors
+
+
+def candidate_edges_scan(network, point, radius):
+    """Brute-force O(E) reference for ``RoadNetwork.candidate_edges``."""
+    candidates = []
+    for u, v in network.graph.edges():
+        distance, fraction = network.project_point(point, u, v)
+        if distance <= radius:
+            candidates.append((u, v, distance, fraction))
+    candidates.sort(key=lambda item: item[2])
+    return candidates
+
+
+def nearest_node_scan(network, point):
+    """Brute-force O(V) reference for ``RoadNetwork.nearest_node``."""
+    px, py = point
+    best, best_distance = None, math.inf
+    for node in network.graph.nodes():
+        x, y = network.position(node)
+        distance = math.hypot(px - x, py - y)
+        if distance < best_distance:
+            best, best_distance = node, distance
+    return best
+
+
+def _route_distance(matcher, candidate_a, candidate_b):
+    """Network distance between two on-edge positions."""
+    (u1, v1, _, f1) = candidate_a
+    (u2, v2, _, f2) = candidate_b
+    length_a = matcher.network.edge_length(u1, v1)
+    length_b = matcher.network.edge_length(u2, v2)
+    if (u1, v1) == (u2, v2) and f2 >= f1:
+        return (f2 - f1) * length_a
+    remaining = (1.0 - f1) * length_a
+    index_of, _ = matcher.network.node_index()
+    through = matcher._distances_from(v1, None)[index_of[u2]]
+    if math.isinf(through):
+        return math.inf
+    return remaining + through + f2 * length_b
+
+
+def match_reference(matcher, trajectory):
+    """Pre-vectorization per-pair Viterbi for ``matcher.match``.
+
+    Identical model with unbounded Dijkstra searches and pure-Python
+    loops over per-point ``RoadNetwork.candidate_edges`` layers.
+    """
+    if not isinstance(trajectory, Trajectory):
+        raise TypeError("trajectory must be a Trajectory")
+    points = [(p.x, p.y) for p in trajectory]
+    check_finite_points(points, "point")
+    matcher._sync_revision()
+    layers = []
+    for index, point in enumerate(points):
+        candidates = matcher.network.candidate_edges(
+            point, matcher.candidate_radius)[: matcher.max_candidates]
+        if not candidates:
+            raise ValueError(
+                f"no candidate edge within {matcher.candidate_radius} of "
+                f"point {index}; the trajectory is off the map"
+            )
+        layers.append(candidates)
+    emissions_arrays = [
+        -0.5 * (np.array([c[2] for c in layer]) / matcher.sigma) ** 2
+        for layer in layers
+    ]
+    scores = list(emissions_arrays[0])
+    backpointers = []
+    for step in range(1, len(layers)):
+        straight = math.hypot(
+            points[step][0] - points[step - 1][0],
+            points[step][1] - points[step - 1][1],
+        )
+        new_scores = []
+        pointers = []
+        for j, candidate in enumerate(layers[step]):
+            best_score, best_prev = -math.inf, 0
+            for prev_index, previous in enumerate(layers[step - 1]):
+                route = _route_distance(matcher, previous, candidate)
+                if math.isinf(route):
+                    continue
+                transition = -abs(route - straight) / matcher.beta
+                score = scores[prev_index] + transition
+                if score > best_score:
+                    best_score, best_prev = score, prev_index
+            new_scores.append(best_score + emissions_arrays[step][j])
+            pointers.append(best_prev)
+        scores = new_scores
+        backpointers.append(pointers)
+        if all(math.isinf(-s) for s in scores):
+            raise ValueError(
+                f"no connected matching through point {step}; "
+                "the network may be disconnected along the trace"
+            )
+
+    best = int(np.argmax(scores))
+    chosen = [best]
+    for pointers in reversed(backpointers):
+        best = pointers[best]
+        chosen.append(best)
+    chosen.reverse()
+    return [layers[i][c] for i, c in enumerate(chosen)]
+
+
+def wasserstein_pairwise(histograms):
+    """Brute-force pairwise W1 matrix: N² independent
+    ``wasserstein_distance`` calls."""
+    histograms = list(histograms)
+    n = len(histograms)
+    matrix = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            matrix[i, j] = matrix[j, i] = wasserstein_distance(
+                histograms[i], histograms[j])
+    return matrix
+
+
+def reduce_reference(distance, probabilities, k):
+    """Pure-Python forward selection: the representatives
+    ``reduce_scenarios`` picks, in pick order."""
+    n = len(probabilities)
+    nearest = [float("inf")] * n
+    selected = []
+    for _ in range(int(k)):
+        best_pick, best_cost = None, None
+        for u in range(n):
+            if u in selected:
+                continue
+            cost = sum(
+                probabilities[i] * min(nearest[i], distance[i][u])
+                for i in range(n)
+            )
+            if best_cost is None or cost < best_cost:
+                best_pick, best_cost = u, cost
+        selected.append(best_pick)
+        nearest = [min(nearest[i], distance[i][best_pick])
+                   for i in range(n)]
+        if sum(p * d for p, d in zip(probabilities, nearest)) <= 0.0:
+            break
+    return selected
+
+
+def k_shortest_reference(network, source, target, k, weight="length"):
+    """``nx.shortest_simple_paths`` cut after ``k`` paths, on the
+    network's graph, with networkx's errors in the repo's types:
+    :class:`KeyError` for an unknown node, :class:`ValueError` (same
+    message) for no path."""
+    for node in (source, target):
+        if node not in network.graph:
+            raise KeyError(f"node {node!r} is not in the network")
+    try:
+        return list(itertools.islice(nx.shortest_simple_paths(
+            network.graph, source, target, weight=weight), k))
+    except nx.NetworkXNoPath as error:
+        raise ValueError(str(error)) from error
+
+
+def check_trips_reference(trips):
+    """Check ``(path, edge_times, departure_minute)`` trips one by one;
+    raise the ``ValueError`` that names the first bad one."""
+    n_trips = 0
+    for index, (path, edge_times, departure) in enumerate(trips):
+        n_trips += 1
+        path = tuple(path)
+        times = np.asarray(edge_times, dtype=float)
+        if times.shape != (max(len(path) - 1, 0),):
+            raise ValueError(
+                f"trip {index}: edge_times must match the path edges")
+        departure = float(departure)
+        if not (math.isfinite(departure) and np.isfinite(times).all()):
+            raise ValueError(
+                f"trip {index}: edge times and departure must be finite")
+    if n_trips == 0:
+        raise ValueError("fit needs at least one trip")

@@ -3,7 +3,7 @@
 ``_GeometryIndex.candidate_table`` serves every candidate search from
 one dense row per grid cell: the edges bucketed within
 ``ceil(radius / cell)`` cells.  These tests pin it against the
-brute-force oracle ``RoadNetwork._candidate_edges_scan`` on generated
+brute-force oracle ``candidate_edges_scan`` on generated
 inputs, degenerate ones included:
 
 * radii below one cell, at the cell size and beyond the map's span;
@@ -14,7 +14,7 @@ inputs, degenerate ones included:
 and check that racing threads build each table exactly once, that
 ``set_edge_attribute`` invalidates exactly the snapshots that read the
 attribute it sets, that ``match`` reports a dead end at the same point
-index as the ``_match_reference`` oracle, and that ``matched_path``
+index as the ``match_reference`` oracle, and that ``matched_path``
 stitches like the loop that searched a connector for every edge
 change.
 """
@@ -33,6 +33,7 @@ from repro import RoadNetwork, Trajectory
 from repro.datatypes.roadnetwork import _GeometryIndex
 from repro.governance.fusion import HmmMapMatcher
 
+from .oracles import candidate_edges_scan, match_reference
 from .test_trace_matching import (
     as_trajectory,
     coincident_network,
@@ -104,7 +105,7 @@ def assert_matches_scan(network, point, radius, fast):
     fractions within tolerance, sorted by distance, ties by edge
     index."""
     slow = {(u, v): (d, f) for u, v, d, f in
-            network._candidate_edges_scan(point, radius)}
+            candidate_edges_scan(network, point, radius)}
     found = {(u, v): (d, f) for u, v, d, f in fast}
     for edge in set(found) ^ set(slow):
         distance = found.get(edge, slow.get(edge))[0]
@@ -276,7 +277,7 @@ class TestEditKeyedSnapshots:
         after = [outcome(used.match, t) for t in trajectories]
         fresh = HmmMapMatcher(rebuilt, sigma=0.1, beta=0.5)
         assert after == [outcome(fresh.match, t) for t in trajectories]
-        assert after == [outcome(used._match_reference, t)
+        assert after == [outcome(match_reference, used, t)
                          for t in trajectories]
         assert after != before  # the edit changed some match
 
@@ -301,7 +302,7 @@ class TestDeadEndIndex:
                                 beta_cutoff=None)
         trajectory = as_trajectory(points)
         assert outcome(matcher.match, trajectory) == \
-            outcome(matcher._match_reference, trajectory)
+            outcome(match_reference, matcher, trajectory)
 
     def test_dead_end_after_the_first_step(self):
         network = disconnected_network(2, 2)

@@ -12,8 +12,12 @@ worker-side metrics back into the parent registry.
 
 import functools
 import os
+import pathlib
 import pickle
+import subprocess
+import sys
 import threading
+import textwrap
 
 import numpy as np
 import pytest
@@ -31,6 +35,7 @@ from repro.core.executors import (
     RemoteStageError,
     SerialExecutor,
     ThreadExecutor,
+    _attach,
     _shareable,
     default_process_executor,
     resolve_executor,
@@ -280,6 +285,55 @@ class TestSharedMemory:
         session.finish()
         with pytest.raises(FileNotFoundError):
             shared_memory.SharedMemory(name=handle.name)
+
+
+def _tracker_pid():
+    """The pid of the resource tracker this process started or
+    inherited by fork; ``None`` if neither (a spawned worker is handed
+    its parent's tracker by file descriptor only)."""
+    from multiprocessing import resource_tracker
+
+    return resource_tracker._resource_tracker._pid
+
+
+def _tracker_pid_after_attach(handle):
+    _, segment = _attach(handle)
+    segment.close()
+    return _tracker_pid()
+
+
+# A fresh interpreter, so no tracker runs before the pool is made.  As
+# in E27, the worker exists before the first segment does.
+TRACKER_SCRIPT = textwrap.dedent("""
+    import numpy as np
+    from repro.core.executors import ProcessExecutor, _ShmArena
+    from tests.test_executors import _tracker_pid, _tracker_pid_after_attach
+
+    pool = ProcessExecutor(max_workers=1)._make_pool()
+    arena = _ShmArena()
+    try:
+        before = pool.submit(_tracker_pid).result(timeout=60)
+        handle = arena.share("x", np.zeros(16))
+        after = pool.submit(_tracker_pid_after_attach, handle).result(
+            timeout=60)
+    finally:
+        arena.close()
+        pool.shutdown(wait=True)
+    print(before == after)
+""")
+
+
+class TestResourceTracker:
+    def test_first_attach_in_a_worker_starts_no_tracker(self):
+        root = pathlib.Path(__file__).resolve().parent.parent
+        path = os.pathsep.join(filter(
+            None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+        result = subprocess.run(
+            [sys.executable, "-c", TRACKER_SCRIPT], cwd=root,
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": path})
+        assert result.returncode == 0, result.stderr[-2000:]
+        assert result.stdout.strip() == "True"
 
 
 # -- pre-flight --------------------------------------------------------------

@@ -2,9 +2,9 @@
 
 Each vectorized/indexed kernel must return the same results as the
 brute-force implementation it replaced; the brute-force paths are kept
-as reference oracles (``RoadNetwork._candidate_edges_scan``,
-``RoadNetwork._nearest_node_scan``, ``HmmMapMatcher._match_reference``
-in the library, ``_dominance_prune_pairwise`` in ``tests/oracles.py``).
+as reference oracles in ``tests/oracles.py`` (``candidate_edges_scan``,
+``nearest_node_scan``, ``match_reference``,
+``_dominance_prune_pairwise``).
 """
 
 import math
@@ -24,7 +24,12 @@ from repro.decision.stochastic import (
 from repro.governance.fusion import HmmMapMatcher
 from repro.governance.uncertainty import Histogram, PathCentricModel
 
-from .oracles import _dominance_prune_pairwise
+from .oracles import (
+    _dominance_prune_pairwise,
+    candidate_edges_scan,
+    match_reference,
+    nearest_node_scan,
+)
 
 
 @pytest.fixture(scope="module")
@@ -44,7 +49,7 @@ class TestSpatialIndex:
                 point = tuple(rng.uniform(-1.0, 11.0, 2))
                 radius = float(rng.uniform(0.05, 2.5))
                 fast = network.candidate_edges(point, radius)
-                slow = network._candidate_edges_scan(point, radius)
+                slow = candidate_edges_scan(network, point, radius)
                 assert {c[:2] for c in fast} == {c[:2] for c in slow}
                 slow_by_edge = {c[:2]: c[2:] for c in slow}
                 for u, v, distance, fraction in fast:
@@ -62,7 +67,7 @@ class TestSpatialIndex:
             for _ in range(200):
                 point = tuple(rng.uniform(-1.0, 11.0, 2))
                 fast = network.nearest_node(point)
-                slow = network._nearest_node_scan(point)
+                slow = nearest_node_scan(network, point)
                 if fast != slow:  # only acceptable on exact ties
                     fx, fy = network.position(fast)
                     sx, sy = network.position(slow)
@@ -136,7 +141,7 @@ class TestVectorizedViterbi:
                                     beta=0.5, candidate_radius=1.0)
             for _, trajectory in trips:
                 assert matcher.match(trajectory) == \
-                    matcher._match_reference(trajectory)
+                    match_reference(matcher, trajectory)
 
     def test_bounded_equals_unbounded_cutoff(self, fleet):
         network, generator = fleet

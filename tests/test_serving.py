@@ -26,8 +26,9 @@ from repro.serve import (
     Overloaded,
     RouteQuery,
     ServeResult,
-    closed_loop,
 )
+
+from .loadgen import closed_loop
 
 
 @pytest.fixture(scope="module")

@@ -8,7 +8,7 @@ oracles:
 * each row of the trace-level search equals
   ``RoadNetwork.candidate_edges(point, radius)[:limit]``, float bits and
   tie order included;
-* ``match`` equals the pure-Python oracle ``_match_reference`` (which
+* ``match`` equals the pure-Python oracle ``match_reference`` (which
   builds its layers from per-point ``candidate_edges``), or both raise
   the same ``ValueError``;
 * a one-row distance cache returns the same matches as the default.
@@ -32,6 +32,8 @@ from repro import DecisionServer, RoadNetwork, Trajectory
 from repro.datatypes.roadnetwork import _GeometryIndex
 from repro.governance.fusion import HmmMapMatcher
 from repro.serve import MatchQuery
+
+from .oracles import match_reference, nearest_node_scan
 
 NETWORK_KINDS = ["grid", "one_way", "geometric", "coincident",
                  "disconnected"]
@@ -224,7 +226,7 @@ class TestMatchDifferential:
                                 max_candidates=max_candidates,
                                 beta_cutoff=beta_cutoff)
         assert outcome(matcher.match, trajectory) == \
-            outcome(matcher._match_reference, trajectory)
+            outcome(match_reference, matcher, trajectory)
 
     @settings(deadline=None, max_examples=30)
     @given(seed=st.integers(0, 2**32 - 1),
@@ -252,7 +254,7 @@ class TestMatchDifferential:
         trajectory = as_trajectory([west, east])
         matcher = HmmMapMatcher(network, sigma=0.1, beta=0.5,
                                 beta_cutoff=None)
-        expected = outcome(matcher._match_reference, trajectory)
+        expected = outcome(match_reference, matcher, trajectory)
         assert expected[0] == "error"
         assert "no connected matching through point 1" in expected[1]
         assert outcome(matcher.match, trajectory) == expected
@@ -330,7 +332,7 @@ class TestNonFinitePoints:
         with pytest.raises(ValueError, match="point 2 is not finite"):
             matcher.match(trajectory)
         with pytest.raises(ValueError, match="point 2 is not finite"):
-            matcher._match_reference(trajectory)
+            match_reference(matcher, trajectory)
 
     def test_served_match_query_is_an_error(self):
         network = RoadNetwork.grid(4, 4)
@@ -353,7 +355,7 @@ class TestNonFinitePoints:
         with pytest.raises(ValueError, match=message):
             matcher.match(trajectory)
         with pytest.raises(ValueError, match=message):
-            matcher._match_reference(trajectory)
+            match_reference(matcher, trajectory)
 
 
 class TestNearestNodeOffMap:
@@ -377,11 +379,11 @@ class TestNearestNodeOffMap:
                 point = (float(center[0] + scale * math.cos(angle)),
                          float(center[1] + scale * math.sin(angle)))
                 assert network.nearest_node(point) == \
-                    network._nearest_node_scan(point)
+                    nearest_node_scan(network, point)
         for point in [(1e12, 1.0), (-1e12, 1.0), (1.0, 1e12),
                       (1.0, -1e12)]:
             assert network.nearest_node(point) == \
-                network._nearest_node_scan(point)
+                nearest_node_scan(network, point)
 
     @pytest.mark.parametrize("bad", [(math.nan, 1.0), (1.0, math.inf),
                                      (-math.inf, math.nan)])

@@ -21,7 +21,12 @@ from repro.governance.uncertainty import (
 from repro.governance.uncertainty.distributions import _grouped_histograms
 from repro.governance.uncertainty.travel_time import _interval_index
 
-from .oracles import _SampleStore, fit_edge_reference, fit_path_reference
+from .oracles import (
+    _SampleStore,
+    check_trips_reference,
+    fit_edge_reference,
+    fit_path_reference,
+)
 
 
 @pytest.fixture(scope="module")
@@ -449,3 +454,99 @@ class TestFitReplacesState:
         with pytest.raises(ValueError, match="trip 2: .*finite"):
             model.fit([good, good, bad])
         assert answers(model, [[0, 1, 2]]) == before
+
+
+def fitted_bytes(model):
+    """Every (key, interval) histogram of a fitted model, as bytes."""
+    return {
+        key: [(d.start, d.width, d.probabilities.tobytes())
+              for d in fitted.distributions]
+        for key, fitted in model._fitted.items()
+    }
+
+
+#: Ways to spoil a trip ``(path, times, departure)``; the check that
+#: catches each comes first in ``check_trips_reference``'s order.
+SPOILERS = {
+    "short": lambda p, t, d: (p, t[:-1] if t else [1.0], d),
+    "nested": lambda p, t, d: (p, [t], d),
+    "nan-time": lambda p, t, d: (p, [float("nan")] + t[1:] if t
+                                 else t, float("nan")),
+    "inf-time": lambda p, t, d: (p, t[:-1] + [float("inf")] if t
+                                 else t, float("inf")),
+    "nan-departure": lambda p, t, d: (p, t, float("nan")),
+    "-inf-departure": lambda p, t, d: (p, t, float("-inf")),
+    "text-departure": lambda p, t, d: (p, t, "soon"),
+    "not-a-triple": lambda p, t, d: (p, t),
+}
+
+
+class TestFitValidation:
+    """Grouped validation names the same first bad trip as checking
+    trip by trip, and a failed fit leaves the model as it was."""
+
+    @settings(deadline=None, max_examples=60, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1),
+           model_class=st.sampled_from([EdgeCentricModel,
+                                        PathCentricModel]),
+           data=st.data())
+    def test_bad_trip_anywhere(self, seed, model_class, data):
+        rng = np.random.default_rng(seed)
+        trips = random_trips(rng, int(rng.integers(2, 20)))
+        model = model_class(min_support=1) \
+            if model_class is PathCentricModel else model_class()
+        model.fit(trips)
+        before = fitted_bytes(model)
+        positions = data.draw(st.sets(st.integers(0, len(trips) - 1),
+                                      min_size=1, max_size=3))
+        for position in positions:
+            spoiler = data.draw(st.sampled_from(sorted(SPOILERS)))
+            trips[position] = SPOILERS[spoiler](*trips[position])
+        with pytest.raises((ValueError, TypeError)) as expected:
+            check_trips_reference(trips)
+        with pytest.raises(expected.type) as got:
+            model.fit(trips)
+        assert str(got.value) == str(expected.value)
+        assert fitted_bytes(model) == before
+
+    def test_generator_of_trips(self):
+        trips = [([0, 1, 2], [1.0, 2.0], 0.0)] * 3
+        model = EdgeCentricModel().fit(trip for trip in trips)
+        assert fitted_bytes(model) == \
+            fitted_bytes(EdgeCentricModel().fit(trips))
+        with pytest.raises(ValueError, match="at least one trip"):
+            model.fit(iter(()))
+
+
+class TestPickledModel:
+    """A fitted model pickles as columns and restores bit for bit."""
+
+    @settings(deadline=None, max_examples=40, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1),
+           intervals=st.sampled_from(PARTITIONS),
+           n_bins=st.integers(1, 30),
+           representation=st.sampled_from(["histogram", "gmm"]),
+           path_centric=st.booleans())
+    def test_round_trip_is_byte_identical(self, seed, intervals, n_bins,
+                                          representation, path_centric):
+        rng = np.random.default_rng(seed)
+        trips = random_trips(rng, int(rng.integers(1, 25)))
+        options = dict(intervals=intervals, n_bins=n_bins,
+                       representation=representation)
+        model = (PathCentricModel(min_support=2, **options) if path_centric
+                 else EdgeCentricModel(**options)).fit(trips)
+        restored = pickle.loads(pickle.dumps(model))
+        assert type(restored) is type(model)
+        assert_same_fit(restored._fitted, model._fitted)
+        assert fitted_bytes(restored) == fitted_bytes(model)
+        # One shared interval tuple, as a fresh fit holds.
+        assert all(fitted.intervals is restored._intervals
+                   for fitted in restored._fitted.values())
+        assert {k: v for k, v in vars(restored).items() if k != "_fitted"} \
+            == {k: v for k, v in vars(model).items() if k != "_fitted"}
+        # The restored model refits like the original.
+        assert fitted_bytes(restored.fit(trips)) == fitted_bytes(model)
+
+    def test_unfitted_model_round_trips(self):
+        model = pickle.loads(pickle.dumps(PathCentricModel()))
+        assert model._fitted == {} and model.n_subpaths == 0
