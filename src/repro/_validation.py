@@ -105,10 +105,10 @@ def check_positive(value, name):
 
 
 def check_non_negative(value, name):
-    """Validate that ``value`` is a non-negative real number."""
+    """Validate that ``value`` is a non-negative real number (NaN is not)."""
     if not isinstance(value, numbers.Real) or isinstance(value, bool):
         raise TypeError(f"{name} must be a real number, got {type(value).__name__}")
-    if value < 0:
+    if not value >= 0:
         raise ValueError(f"{name} must be >= 0, got {value!r}")
     return value
 

@@ -48,6 +48,20 @@ def diurnal_profile(minute_of_day, *, rush_depth=0.45):
     return 1.0 - rush_depth * np.maximum(morning, evening)
 
 
+def _diurnal_factor(minute):
+    """``float(diurnal_profile(minute))`` for one minute, on scalars.
+
+    The same operations as the 0-d array path -- ``%``, ``**`` and
+    ``np.exp`` of a scalar -- without the array round trips, so the
+    bits are equal (a dense sweep in the tests pins this); ``math.exp``
+    would differ in the last ulp at some minutes.
+    """
+    minutes = float(minute) % _DAY_MINUTES
+    morning = np.exp(-0.5 * ((minutes - 8 * 60) / 75.0) ** 2)
+    evening = np.exp(-0.5 * ((minutes - 17.5 * 60) / 90.0) ** 2)
+    return float(1.0 - 0.45 * max(morning, evening))
+
+
 def traffic_speed_dataset(
     n_sensors=25,
     n_days=7,
@@ -197,7 +211,7 @@ class TrafficSimulator:
 
     def mean_travel_time(self, u, v, departure_minute=12 * 60):
         """Expected travel time of an edge at a given departure time."""
-        factor = float(diurnal_profile(departure_minute))
+        factor = _diurnal_factor(departure_minute)
         length = self.network.edge_length(u, v)
         base = length / (self._speeds[(u, v)] * factor)
         # E[lognormal] correction so the mean matches sampled times.
@@ -210,24 +224,27 @@ class TrafficSimulator:
         """Sample correlated travel times for a sequence of edges.
 
         Returns an array of per-edge times drawn with one shared trip
-        factor, i.e. one realization of a trip along ``edges``.
+        factor, i.e. one realization of a trip along ``edges``.  The
+        trip factor ``z`` and every per-edge ``eps`` come from one
+        ``rng.normal(size=len(edges) + 1)`` draw (the same stream as
+        ``z`` followed by one scalar draw per edge); only the diurnal
+        factor, which depends on the running clock, is computed edge by
+        edge.
         """
         rng = self._rng if rng is None else ensure_rng(rng)
-        z = rng.normal()
-        times = np.empty(len(edges))
+        draws = rng.normal(size=len(edges) + 1)
+        scales = np.array([self._volatility[(u, v)] for u, v in edges])
+        noise = map(math.exp, (scales * (
+            self.sigma_correlated * draws[0]
+            + self.sigma_independent * draws[1:])).tolist())
+        times = []
         minute = float(departure_minute)
-        for index, (u, v) in enumerate(edges):
-            factor = float(diurnal_profile(minute))
-            length = self.network.edge_length(u, v)
-            base = length / (self._speeds[(u, v)] * factor)
-            eps = rng.normal()
-            scale = self._volatility[(u, v)]
-            times[index] = base * math.exp(
-                scale * (self.sigma_correlated * z
-                         + self.sigma_independent * eps)
-            )
-            minute += times[index]
-        return times
+        for (u, v), lognormal in zip(edges, noise):
+            base = self.network.edge_length(u, v) / (
+                self._speeds[(u, v)] * _diurnal_factor(minute))
+            times.append(base * lognormal)
+            minute += times[-1]
+        return np.array(times, dtype=float)
 
     def sample_path_time(self, path, departure_minute=12 * 60, rng=None):
         """Total travel time of one simulated trip along a node path."""

@@ -17,7 +17,7 @@ import numpy as np
 import networkx as nx
 
 from .._validation import check_positive, ensure_rng
-from ..datatypes import GpsPoint, Trajectory
+from ..datatypes import Trajectory
 from .traffic import TrafficSimulator
 
 __all__ = ["simulate_trip", "TrajectoryGenerator"]
@@ -31,7 +31,9 @@ def simulate_trip(network, path, edge_times, *, start_time=0.0,
     sample is emitted every ``sample_interval`` time units, plus the trip
     endpoints.  The clocks are running sums (``np.add.accumulate`` adds
     in order, as a loop would), and each sample is placed on the first
-    edge that ends after it.
+    edge that ends after it.  Node positions come from the network's
+    geometry snapshot, and the trajectory is built from those columns
+    directly.
 
     Returns
     -------
@@ -44,27 +46,28 @@ def simulate_trip(network, path, edge_times, *, start_time=0.0,
             f"expected {len(edges)} edge times, got {len(edge_times)}"
         )
     durations = np.asarray(edge_times, dtype=float)
-    if not np.all(durations > 0):
+    if not (durations > 0).all():
         raise ValueError("edge times must be positive")
     if not np.isfinite(durations).all():
         raise ValueError("edge times must be finite")
     check_positive(sample_interval, "sample_interval")
     start = float(start_time)
-    clocks = np.add.accumulate(np.concatenate([[start], durations]))
+    clocks = np.add.accumulate(np.concatenate(([start], durations)))
     end = float(clocks[-1])
     count = int((end - start) / sample_interval) + 2
-    samples = np.add.accumulate(
-        np.concatenate([[start], np.full(count, float(sample_interval))]))
-    samples = samples[1:][samples[1:] < end]
+    samples = np.full(count + 1, float(sample_interval))
+    samples[0] = start
+    samples = np.add.accumulate(samples)[1:]
+    samples = samples[samples < end]
     edge = np.searchsorted(clocks[1:], samples, side="right")
     fractions = np.minimum(np.maximum(
         (samples - clocks[edge]) / durations[edge], 0.0), 1.0)
-    xy = np.asarray([network.position(node) for node in path], dtype=float)
+    geometry = network._geometry()
+    xy = geometry.node_xy[[geometry.index_of[node] for node in path]]
     along = xy[edge] + fractions[:, None] * (xy[edge + 1] - xy[edge])
-    coordinates = np.concatenate([xy[:1], along, xy[-1:]]).tolist()
-    times = [start, *samples.tolist(), end]
-    return Trajectory([GpsPoint(x, y, t)
-                       for (x, y), t in zip(coordinates, times)])
+    return Trajectory._from_columns(
+        np.concatenate([xy[:1], along, xy[-1:]]),
+        np.concatenate([[start], samples, [end]]))
 
 
 class TrajectoryGenerator:

@@ -12,10 +12,11 @@ network.
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 
-from .._validation import ensure_rng
+from .._validation import check_non_negative, ensure_rng
 
 __all__ = ["GpsPoint", "Trajectory"]
 
@@ -49,6 +50,11 @@ class GpsPoint:
 class Trajectory:
     """An ordered sequence of :class:`GpsPoint` with increasing timestamps.
 
+    Stored as columns: one ``(n, 2)`` float array of ``(x, y)``
+    positions and one ``(n,)`` array of times.  :class:`GpsPoint`
+    objects are built only on access (iteration, indexing,
+    :attr:`points`), so ``traj[0] is traj[0]`` is ``False``.
+
     Parameters
     ----------
     points:
@@ -58,31 +64,64 @@ class Trajectory:
     """
 
     def __init__(self, points, object_id=None):
-        converted = []
+        rows = []
         for point in points:
             if isinstance(point, GpsPoint):
-                converted.append(point)
+                rows.append((point.x, point.y, point.t))
             else:
                 x, y, t = point
-                converted.append(GpsPoint(x, y, t))
-        if len(converted) < 2:
+                rows.append((float(x), float(y), float(t)))
+        columns = np.array(rows, dtype=float).reshape(-1, 3)
+        self._set_columns(columns[:, :2], columns[:, 2], object_id)
+
+    @classmethod
+    def _from_columns(cls, xy, times, object_id=None):
+        """A trajectory over ``(n, 2)`` positions and ``(n,)`` times,
+        validated as the public constructor does, without building a
+        :class:`GpsPoint` per sample.  Takes ownership of the arrays
+        (and makes them read-only) instead of copying them."""
+        trajectory = cls.__new__(cls)
+        trajectory._set_columns(xy, times, object_id)
+        return trajectory
+
+    def _set_columns(self, xy, times, object_id):
+        xy = np.asarray(xy, dtype=float).reshape(-1, 2)
+        times = np.asarray(times, dtype=float).reshape(-1)
+        if len(times) < 2:
             raise ValueError("a trajectory needs at least two points")
-        times = [p.t for p in converted]
-        if any(b <= a for a, b in zip(times, times[1:])):
-            raise ValueError("trajectory timestamps must be strictly increasing")
-        self._points = converted
+        # Strictly increasing times are all finite iff both ends are
+        # (a NaN fails every comparison).
+        increasing = (times[1:] > times[:-1]).all()
+        if not (increasing and math.isfinite(times[0])
+                and math.isfinite(times[-1])):
+            finite = np.isfinite(times)
+            if not finite.all():
+                index = int(np.argmin(finite))
+                raise ValueError(
+                    f"trajectory timestamp {index} is not finite: "
+                    f"{float(times[index])!r}")
+            raise ValueError(
+                "trajectory timestamps must be strictly increasing")
+        xy.flags.writeable = times.flags.writeable = False
+        self._xy = xy
+        self._t = times
         self.object_id = object_id
 
     # -- protocol --------------------------------------------------------
 
     def __len__(self):
-        return len(self._points)
+        return len(self._t)
 
     def __iter__(self):
-        return iter(self._points)
+        return map(GpsPoint, self._xy[:, 0].tolist(),
+                   self._xy[:, 1].tolist(), self._t.tolist())
 
     def __getitem__(self, index):
-        return self._points[index]
+        if isinstance(index, slice):
+            return self.points[index]
+        index = operator.index(index)
+        x, y = self._xy[index].tolist()
+        return GpsPoint(x, y, self._t[index])
 
     def __repr__(self):
         return (
@@ -94,25 +133,30 @@ class Trajectory:
 
     @property
     def points(self):
-        return list(self._points)
+        return list(self)
 
     def coordinates(self):
-        """Return an ``(n, 2)`` array of ``(x, y)`` positions."""
-        return np.array([[p.x, p.y] for p in self._points])
+        """Return an ``(n, 2)`` array of ``(x, y)`` positions (a copy)."""
+        return self._xy.copy()
 
     def times(self):
-        """Return the ``(n,)`` array of timestamps."""
-        return np.array([p.t for p in self._points])
+        """Return the ``(n,)`` array of timestamps (a copy)."""
+        return self._t.copy()
 
     def duration(self):
         """Elapsed time between first and last sample."""
-        return self._points[-1].t - self._points[0].t
+        return float(self._t[-1] - self._t[0])
 
     def length(self):
-        """Total travelled Euclidean distance along the samples."""
-        return float(
-            sum(a.distance_to(b) for a, b in zip(self._points, self._points[1:]))
-        )
+        """Total travelled Euclidean distance along the samples.
+
+        Summed segment by segment in order, as a loop over the points
+        would.
+        """
+        with np.errstate(over="ignore"):  # inf, as float subtraction gives
+            steps = np.diff(self._xy, axis=0)
+        return float(sum(map(math.hypot, steps[:, 0].tolist(),
+                             steps[:, 1].tolist())))
 
     def average_speed(self):
         """Mean speed = length / duration."""
@@ -128,27 +172,26 @@ class Trajectory:
         """
         if interval <= 0:
             raise ValueError(f"interval must be > 0, got {interval!r}")
-        xs = self.coordinates()
-        ts = self.times()
+        ts = self._t
         new_times = np.arange(ts[0], ts[-1], interval)
         if new_times[-1] < ts[-1]:
             new_times = np.append(new_times, ts[-1])
-        new_x = np.interp(new_times, ts, xs[:, 0])
-        new_y = np.interp(new_times, ts, xs[:, 1])
-        points = [GpsPoint(x, y, t) for x, y, t in zip(new_x, new_y, new_times)]
-        return Trajectory(points, object_id=self.object_id)
+        xy = np.column_stack([np.interp(new_times, ts, self._xy[:, 0]),
+                              np.interp(new_times, ts, self._xy[:, 1])])
+        return Trajectory._from_columns(xy, new_times, self.object_id)
 
     def with_noise(self, sigma, rng=None):
-        """Add isotropic Gaussian measurement noise of scale ``sigma``."""
-        if sigma < 0:
-            raise ValueError(f"sigma must be >= 0, got {sigma!r}")
+        """Add isotropic Gaussian measurement noise of scale ``sigma``.
+
+        ``sigma`` must be finite and ``>= 0``.
+        """
+        check_non_negative(sigma, "sigma")
+        if not math.isfinite(sigma):
+            raise ValueError(f"sigma must be finite, got {sigma!r}")
         rng = ensure_rng(rng)
         noise = rng.normal(0.0, sigma, size=(len(self), 2))
-        points = [
-            GpsPoint(p.x + dx, p.y + dy, p.t)
-            for p, (dx, dy) in zip(self._points, noise)
-        ]
-        return Trajectory(points, object_id=self.object_id)
+        return Trajectory._from_columns(self._xy + noise, self._t,
+                                        self.object_id)
 
     def dropped(self, keep_fraction, rng=None):
         """Randomly keep roughly ``keep_fraction`` of interior samples.
@@ -162,17 +205,12 @@ class Trajectory:
                 f"keep_fraction must be in (0, 1], got {keep_fraction!r}"
             )
         rng = ensure_rng(rng)
-        kept = [self._points[0]]
-        for point in self._points[1:-1]:
-            if rng.random() < keep_fraction:
-                kept.append(point)
-        kept.append(self._points[-1])
-        return Trajectory(kept, object_id=self.object_id)
+        kept = np.concatenate(
+            [[True], rng.random(len(self) - 2) < keep_fraction, [True]])
+        return Trajectory._from_columns(self._xy[kept], self._t[kept],
+                                        self.object_id)
 
     def segment_speeds(self):
         """Speed of each consecutive segment, shape ``(n-1,)``."""
-        xs = self.coordinates()
-        ts = self.times()
-        distances = np.linalg.norm(np.diff(xs, axis=0), axis=1)
-        gaps = np.diff(ts)
-        return distances / gaps
+        distances = np.linalg.norm(np.diff(self._xy, axis=0), axis=1)
+        return distances / np.diff(self._t)

@@ -25,17 +25,20 @@ lookup per point, one projection and one stable sort, returning padded
 ``(T, K)`` layers with a validity mask.  Emissions and the
 ``(T-1, K, K)`` transition tensor are then one numpy expression each
 (padded slots score ``-inf``).  Viterbi loops over the ``T`` points
-with three numpy operations a step, keeping only the ``(T, K)`` forward
-scores; every backpointer is recovered afterwards by one ``argmax``
-over ``forward + transitions``.  Network distances come from *bounded*
-Dijkstra searches (radius ``straight + beta_cutoff * beta`` — farther
-transitions score below ``-beta_cutoff`` log-probability and are
-treated as unreachable): one row per distinct ``(exit node, radius)``
-in the trace, fetched through a bounded LRU cache shared across traces
-and :meth:`HmmMapMatcher.match_many` batches, keyed on the network's
+with three numpy operations a step: the previous scores are added into
+the step's transition block in place, and its column maxima plus the
+emissions go into one preallocated ``(T, K)`` forward array, so every
+backpointer is recovered afterwards by one ``argmax`` over the blocks.
+Network distances come from *bounded* Dijkstra searches (radius
+``straight + beta_cutoff * beta`` — farther transitions score below
+``-beta_cutoff`` log-probability and are treated as unreachable): one
+row per distinct ``(exit node, radius)`` in the trace, fetched through
+a bounded LRU cache shared across traces and
+:meth:`HmmMapMatcher.match_many` batches, keyed on the network's
 ``length`` revision and gathered by fancy indexing.  Stitching a
-matched path searches the network only between matched edges that do
-not already meet at a node.
+matched path walks the runs of the decoded edge indices and searches
+the network only between matched edges that do not already meet at a
+node.
 """
 
 from __future__ import annotations
@@ -175,15 +178,17 @@ class HmmMapMatcher:
         cutoff.  Padded entries are finite or ``-inf`` but never win:
         padded slots carry ``-inf`` emissions.  Network distances come
         from one cached row per distinct ``(exit node, cutoff)`` among
-        the real slots, gathered by fancy indexing.
+        the real slots, gathered by fancy indexing.  ``points`` is the
+        trace's ``(T, 2)`` coordinate column.
         """
-        straight = [
-            math.hypot(x1 - x0, y1 - y0)
-            for (x0, y0), (x1, y1) in zip(points, points[1:])
-        ]
+        steps = points[1:] - points[:-1]
+        straight = np.array(list(map(math.hypot, steps[:, 0].tolist(),
+                                     steps[:, 1].tolist())))
         cutoffs = self._cutoff_for(straight)
-        if cutoffs is None:
-            distinct, cutoff_id = [None], np.zeros(len(straight), np.intp)
+        if cutoffs is None or cutoffs.min() == cutoffs.max():
+            # One radius for the whole trace (the usual case): no sort.
+            distinct = [None if cutoffs is None else float(cutoffs[0])]
+            cutoff_id = np.zeros(len(straight), np.intp)
         else:
             distinct, cutoff_id = np.unique(cutoffs, return_inverse=True)
             distinct = distinct.tolist()
@@ -193,8 +198,11 @@ class HmmMapMatcher:
                         exits * len(distinct) + cutoff_id[:, None], -1)
         pairs, first, row_of = np.unique(keys.ravel(), return_index=True,
                                          return_inverse=True)
-        columns, column_of = np.unique(entries.ravel(),
-                                       return_inverse=True)
+        # The entry nodes in use, in node order, marked instead of sorted.
+        used = np.zeros(len(geometry.node_list), dtype=bool)
+        used[entries] = True
+        columns = np.flatnonzero(used)
+        column_of = np.cumsum(used) - 1
         rows = np.full((len(pairs), len(columns)), np.inf)
         # Fetch in first-use order: LRU recency then follows the trace,
         # so a trace that continues where this one ends finds its rows.
@@ -206,41 +214,36 @@ class HmmMapMatcher:
                 rows[row] = self._distances_from(
                     geometry.node_list[node], distinct[cutoff])[columns]
         through = rows[row_of.reshape(exits.shape)[:, :, None],
-                       column_of.reshape(entries.shape)[:, None, :]]
+                       column_of[entries][:, None, :]]
 
+        # ``through`` is a fresh gather: build the scores in it in place.
         lengths = geometry.edge_length[edges]
-        remaining = (1.0 - fractions[:-1]) * lengths[:-1]
-        entry_cost = fractions[1:] * lengths[1:]
-        route = remaining[:, :, None] + through + entry_cost[:, None, :]
+        route = np.add(((1.0 - fractions[:-1]) * lengths[:-1])[:, :, None],
+                       through, out=through)
+        route += (fractions[1:] * lengths[1:])[:, None, :]
         before, after = fractions[:-1, :, None], fractions[1:, None, :]
         same_edge = (edges[:-1, :, None] == edges[1:, None, :]) \
             & (after >= before)
-        route = np.where(same_edge,
-                         (after - before) * lengths[:-1, :, None], route)
-        return -np.abs(route - np.asarray(straight)[:, None, None]) \
-            / self.beta
+        np.copyto(route, (after - before) * lengths[:-1, :, None],
+                  where=same_edge)
+        route -= straight[:, None, None]
+        # |x| / -beta has the bits of -|x| / beta.
+        return np.divide(np.abs(route, out=route), -self.beta, out=route)
 
     # -- public API -------------------------------------------------------------
 
-    def match(self, trajectory):
-        """Viterbi-decode the most likely candidate sequence.
+    def _decode(self, trajectory):
+        """Viterbi-decode ``trajectory`` on the network's snapshot.
 
-        Returns
-        -------
-        list
-            One ``(u, v, distance, fraction)`` candidate per GPS point.
-
-        Raises
-        ------
-        ValueError
-            If some point is not finite, or has no candidate edge within
-            radius (increase ``candidate_radius``), or no candidate
-            sequence is connected.
+        Returns ``(geometry, edges, distances, fractions)``: the
+        snapshot and, per GPS point, the chosen candidate's edge index
+        (into ``geometry.edge_list``), distance and fraction as arrays.
+        Raises as :meth:`match` documents.
         """
         if not isinstance(trajectory, Trajectory):
             raise TypeError("trajectory must be a Trajectory")
         geometry = self.network._geometry()
-        points = [(p.x, p.y) for p in trajectory]
+        points = trajectory._xy
         edges, distances, fractions, counts = geometry.trace_candidates(
             points, self.candidate_radius, self.max_candidates)
         empty = np.flatnonzero(counts == 0)
@@ -257,35 +260,62 @@ class HmmMapMatcher:
         transitions = self._transitions(geometry, points, edges,
                                         fractions, valid)
 
-        forward = [emissions[0]]
-        for moves, emission in zip(transitions, emissions[1:]):
-            forward.append((forward[-1][:, None] + moves).max(axis=0)
-                           + emission)
-        forward = np.array(forward)
-        # A row with no finite score stays so: report the first one.
-        dead = np.flatnonzero(forward.max(axis=1) == -np.inf)
-        if len(dead):
+        # Viterbi on one (T, K) forward array.  Each step adds the
+        # previous scores into its own transition block in place, so
+        # the block then holds every score the step's max chose from.
+        # (The K-wide max is left to allocate: on arrays this small a
+        # reduce with ``out=`` costs more than the allocation.)
+        forward = np.empty(emissions.shape)
+        forward[0] = emissions[0]
+        add, best_of = np.add, np.maximum.reduce
+        for previous, moves, current, emission in zip(
+                forward[:, :, None], transitions, forward[1:],
+                emissions[1:]):
+            add(best_of(add(moves, previous, moves), 0), emission, current)
+        # A row with no finite score stays so: if the last row has one,
+        # every row has; otherwise report the first dead one.
+        if best_of(forward[-1]) == -np.inf:
+            dead = np.flatnonzero(forward.max(axis=1) == -np.inf)
             raise ValueError(
                 f"no connected matching through point {dead[0]}; "
                 "the network may be disconnected along the trace"
             )
-        # Every backpointer at once: the argmax each step's max took.
-        backpointers = np.argmax(forward[:-1, :, None] + transitions,
-                                 axis=1).tolist()
+        # Every backpointer at once: the argmax each step's max took,
+        # read back to front from one flat list.
+        width = transitions.shape[2]
+        pointers = transitions.argmax(axis=1).ravel().tolist()
         best = int(np.argmax(forward[-1]))
         chosen = [best]
-        for pointers in reversed(backpointers):
-            best = pointers[best]
+        for offset in range(len(pointers) - width, -1, -width):
+            best = pointers[offset + best]
             chosen.append(best)
         chosen.reverse()
         self._distances.publish()
-        steps = np.arange(len(chosen))
+        # Flat indices into the row-major (T, K) arrays: one ``take`` each.
+        chosen = np.arange(0, edges.size, width) + chosen
+        return (geometry, edges.take(chosen), distances.take(chosen),
+                fractions.take(chosen))
+
+    def match(self, trajectory):
+        """Viterbi-decode the most likely candidate sequence.
+
+        Returns
+        -------
+        list
+            One ``(u, v, distance, fraction)`` candidate per GPS point.
+
+        Raises
+        ------
+        ValueError
+            If some point is not finite, or has no candidate edge within
+            radius (increase ``candidate_radius``), or no candidate
+            sequence is connected.
+        """
+        geometry, edges, distances, fractions = self._decode(trajectory)
         return [
             (*geometry.edge_list[edge], distance, fraction)
             for edge, distance, fraction in zip(
-                edges[steps, chosen].tolist(),
-                distances[steps, chosen].tolist(),
-                fractions[steps, chosen].tolist())
+                edges.tolist(), distances.tolist(), fractions.tolist())
         ]
 
     def match_many(self, trajectories):
@@ -304,7 +334,13 @@ class HmmMapMatcher:
         Consecutive matched edges are stitched with network shortest
         paths, and repeated nodes from staying on one edge are collapsed.
         """
-        candidates = self.match(trajectory)
+        geometry, edges, _, fractions = self._decode(trajectory)
+        # Points that stay on one edge add nothing: walk the runs.
+        starts = np.empty(len(edges), dtype=bool)
+        starts[0] = True
+        np.not_equal(edges[1:], edges[:-1], out=starts[1:])
+        matched = [geometry.edge_list[edge]
+                   for edge in edges[starts].tolist()]
         path = []
 
         def extend(nodes):
@@ -312,25 +348,16 @@ class HmmMapMatcher:
                 if not path or path[-1] != node:
                     path.append(node)
 
-        previous_edge = None
-        for index, (u, v, _, fraction) in enumerate(candidates):
-            edge = (u, v)
-            if edge == previous_edge:
-                continue
-            if previous_edge is None:
-                # A first match sitting at the far end of its edge means
-                # the vehicle effectively started at node v; adding u
-                # would prepend a phantom segment.
-                if fraction >= 0.99:
-                    extend([v])
-                else:
-                    extend([u, v])
-            else:
-                # Consecutive edges mostly share a node: no search then.
-                if previous_edge[1] != u:
-                    extend(self.network.shortest_path(previous_edge[1], u))
-                extend([u, v])
-            previous_edge = edge
+        # A first match sitting at the far end of its edge means the
+        # vehicle effectively started at node v; adding u would prepend
+        # a phantom segment.
+        u, v = matched[0]
+        extend([v] if fractions[0] >= 0.99 else [u, v])
+        for (_, previous), (u, v) in zip(matched, matched[1:]):
+            # Consecutive edges mostly share a node: no search then.
+            if previous != u:
+                extend(self.network.shortest_path(previous, u))
+            extend([u, v])
 
         # Collapse immediate backtracks (a, b, a -> a), an artifact of
         # matching to the reverse twin of a bidirectional edge.
@@ -345,6 +372,5 @@ class HmmMapMatcher:
 
         if len(path) < 2:
             # Entire trace matched to a single edge.
-            u, v, _, _ = candidates[0]
-            path = [u, v]
+            path = list(matched[0])
         return path

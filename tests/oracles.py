@@ -24,6 +24,11 @@ forward selection behind ``wasserstein_matrix`` and
 ``reduce_scenarios``.  ``k_shortest_reference`` is networkx's Yen,
 which ``RoadNetwork.k_shortest_paths`` ports.  ``check_trips_reference``
 is the trip-by-trip check the travel-time fits ran before grouping.
+
+``PointTrajectory`` is the list-of-``GpsPoint`` trajectory that the
+columnar ``Trajectory`` replaced, and ``sample_edge_times_reference``
+the per-edge loop behind ``sample_edge_times``: one scalar normal draw
+and one 0-d ``diurnal_profile`` call per edge.
 """
 
 import itertools
@@ -32,8 +37,9 @@ import math
 import networkx as nx
 import numpy as np
 
-from repro._validation import check_finite_points
-from repro.datatypes import Trajectory
+from repro._validation import check_finite_points, ensure_rng
+from repro.datasets.traffic import diurnal_profile
+from repro.datatypes import GpsPoint, Trajectory
 from repro.decision.pareto import dominates
 from repro.decision.reduction import wasserstein_distance
 from repro.decision.stochastic import (
@@ -390,3 +396,118 @@ def check_trips_reference(trips):
                 f"trip {index}: edge times and departure must be finite")
     if n_trips == 0:
         raise ValueError("fit needs at least one trip")
+
+
+class PointTrajectory:
+    """The per-point ``Trajectory`` that the columnar one replaced: a
+    list of :class:`GpsPoint` objects, built once at construction.
+
+    Only the timestamp checks it always had (two points, strictly
+    increasing); it lets NaN and inf times through.
+    """
+
+    def __init__(self, points, object_id=None):
+        converted = []
+        for point in points:
+            if isinstance(point, GpsPoint):
+                converted.append(point)
+            else:
+                x, y, t = point
+                converted.append(GpsPoint(x, y, t))
+        if len(converted) < 2:
+            raise ValueError("a trajectory needs at least two points")
+        times = [p.t for p in converted]
+        if any(b <= a for a, b in zip(times, times[1:])):
+            raise ValueError(
+                "trajectory timestamps must be strictly increasing")
+        self._points = converted
+        self.object_id = object_id
+
+    def __len__(self):
+        return len(self._points)
+
+    def __iter__(self):
+        return iter(self._points)
+
+    def __getitem__(self, index):
+        return self._points[index]
+
+    @property
+    def points(self):
+        return list(self._points)
+
+    def coordinates(self):
+        return np.array([[p.x, p.y] for p in self._points])
+
+    def times(self):
+        return np.array([p.t for p in self._points])
+
+    def duration(self):
+        return self._points[-1].t - self._points[0].t
+
+    def length(self):
+        return float(sum(a.distance_to(b)
+                         for a, b in zip(self._points, self._points[1:])))
+
+    def segment_speeds(self):
+        distances = np.linalg.norm(np.diff(self.coordinates(), axis=0),
+                                   axis=1)
+        return distances / np.diff(self.times())
+
+    def resample(self, interval):
+        if interval <= 0:
+            raise ValueError(f"interval must be > 0, got {interval!r}")
+        xs = self.coordinates()
+        ts = self.times()
+        new_times = np.arange(ts[0], ts[-1], interval)
+        if new_times[-1] < ts[-1]:
+            new_times = np.append(new_times, ts[-1])
+        new_x = np.interp(new_times, ts, xs[:, 0])
+        new_y = np.interp(new_times, ts, xs[:, 1])
+        return PointTrajectory(
+            [GpsPoint(x, y, t) for x, y, t in zip(new_x, new_y, new_times)],
+            object_id=self.object_id)
+
+    def with_noise(self, sigma, rng=None):
+        if sigma < 0:
+            raise ValueError(f"sigma must be >= 0, got {sigma!r}")
+        rng = ensure_rng(rng)
+        noise = rng.normal(0.0, sigma, size=(len(self), 2))
+        return PointTrajectory(
+            [GpsPoint(p.x + dx, p.y + dy, p.t)
+             for p, (dx, dy) in zip(self._points, noise)],
+            object_id=self.object_id)
+
+    def dropped(self, keep_fraction, rng=None):
+        if not 0.0 < keep_fraction <= 1.0:
+            raise ValueError(
+                f"keep_fraction must be in (0, 1], got {keep_fraction!r}")
+        rng = ensure_rng(rng)
+        kept = [self._points[0]]
+        for point in self._points[1:-1]:
+            if rng.random() < keep_fraction:
+                kept.append(point)
+        kept.append(self._points[-1])
+        return PointTrajectory(kept, object_id=self.object_id)
+
+
+def sample_edge_times_reference(simulator, edges, departure_minute=12 * 60,
+                                rng=None):
+    """``TrafficSimulator.sample_edge_times`` as a per-edge loop: one
+    scalar draw for the trip factor, then per edge one scalar draw and
+    one ``diurnal_profile`` call on the running clock."""
+    rng = simulator._rng if rng is None else ensure_rng(rng)
+    z = rng.normal()
+    times = np.empty(len(edges))
+    minute = float(departure_minute)
+    for index, (u, v) in enumerate(edges):
+        factor = float(diurnal_profile(minute))
+        length = simulator.network.edge_length(u, v)
+        base = length / (simulator._speeds[(u, v)] * factor)
+        eps = rng.normal()
+        scale = simulator._volatility[(u, v)]
+        times[index] = base * math.exp(
+            scale * (simulator.sigma_correlated * z
+                     + simulator.sigma_independent * eps))
+        minute += times[index]
+    return times

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import RoadNetwork
 from repro.datasets import (
@@ -16,6 +18,8 @@ from repro.datasets import (
     traffic_speed_dataset,
     wave_field_dataset,
 )
+from repro.datasets.traffic import _diurnal_factor
+from tests.oracles import sample_edge_times_reference
 
 
 class TestDiurnalProfile:
@@ -124,6 +128,96 @@ class TestTrafficSimulator:
         path_variance = samples.sum(axis=1).var()
         independent_variance = samples.var(axis=0).sum()
         assert path_variance > 1.2 * independent_variance
+
+
+def heterogeneous_simulator(seed):
+    """A 5x5 grid simulator with volatility and speed overrides."""
+    network = RoadNetwork.grid(5, 5)
+    simulator = TrafficSimulator(network, sigma_correlated=0.3,
+                                 sigma_independent=0.2,
+                                 rng=np.random.default_rng(seed))
+    rng = np.random.default_rng(seed + 1)
+    edges = network.edges()
+    for index in rng.choice(len(edges), size=12, replace=False):
+        u, v = edges[int(index)]
+        simulator.set_edge_profile(
+            u, v, volatility=float(rng.choice([0.3, 1.7, 3.0])),
+            speed=float(rng.uniform(0.4, 2.0)) if index % 2 else None)
+    return simulator
+
+
+def random_route(network, rng):
+    nodes = network.nodes()
+    origin, destination = rng.choice(len(nodes), size=2, replace=False)
+    return network.path_edges(network.shortest_path(
+        nodes[int(origin)], nodes[int(destination)]))
+
+
+class TestSampleEdgeTimesDifferential:
+    """``sample_edge_times`` against the per-edge loop it replaced
+    (``tests.oracles.sample_edge_times_reference``): equal times and
+    the generator left at the same point of its stream."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(seed=st.integers(0, 2**16),
+           departure=st.floats(min_value=-3000.0, max_value=5000.0,
+                               allow_nan=False))
+    def test_equals_reference(self, seed, departure):
+        simulator = heterogeneous_simulator(seed % 7)
+        edges = random_route(simulator.network,
+                             np.random.default_rng(seed))
+        rng_a, rng_b = (np.random.default_rng(seed) for _ in range(2))
+        times = simulator.sample_edge_times(edges, departure, rng=rng_a)
+        expected = sample_edge_times_reference(simulator, edges,
+                                               departure, rng=rng_b)
+        assert times.tobytes() == expected.tobytes()
+        assert rng_a.normal() == rng_b.normal()
+
+    def test_departure_crossing_midnight(self):
+        simulator = heterogeneous_simulator(2)
+        edges = simulator.network.path_edges(
+            simulator.network.shortest_path((0, 0), (4, 4)))
+        departure = 24 * 60 - 3.0
+        times = simulator.sample_edge_times(
+            edges, departure, rng=np.random.default_rng(5))
+        expected = sample_edge_times_reference(
+            simulator, edges, departure, rng=np.random.default_rng(5))
+        assert departure + times[0] < 24 * 60 < departure + times.sum()
+        assert times.tobytes() == expected.tobytes()
+
+    def test_default_rng_is_the_simulators_own(self):
+        fast, slow = heterogeneous_simulator(4), heterogeneous_simulator(4)
+        edges = fast.network.path_edges(
+            fast.network.shortest_path((0, 4), (4, 0)))
+        for departure in (8 * 60, 17.5 * 60, 3.0):
+            times = fast.sample_edge_times(edges, departure)
+            expected = sample_edge_times_reference(slow, edges, departure)
+            assert times.tobytes() == expected.tobytes()
+        assert fast._rng.bit_generator.state == \
+            slow._rng.bit_generator.state
+
+    def test_no_edges_still_draws_the_trip_factor(self):
+        simulator = heterogeneous_simulator(1)
+        rng_a, rng_b = np.random.default_rng(8), np.random.default_rng(8)
+        assert simulator.sample_edge_times([], rng=rng_a).shape == (0,)
+        assert sample_edge_times_reference(simulator, [], rng=rng_b) \
+            .shape == (0,)
+        assert rng_a.normal() == rng_b.normal()
+
+
+def test_diurnal_factor_has_the_profile_bits():
+    """The per-edge factor ``sample_edge_times`` computes on scalars
+    equals ``float(diurnal_profile(m))`` bit for bit, on a dense sweep
+    over several days (negative minutes too) and both rush hours."""
+    rng = np.random.default_rng(0)
+    minutes = np.concatenate([
+        np.linspace(-2 * 24 * 60, 3 * 24 * 60, 100_001),
+        rng.uniform(0, 24 * 60, 20_000),
+        8 * 60 + rng.normal(0, 120, 10_000),
+        17.5 * 60 + rng.normal(0, 120, 10_000),
+    ]).tolist()
+    assert [_diurnal_factor(m) for m in minutes] == \
+        [float(diurnal_profile(m)) for m in minutes]
 
 
 class TestSimulateTrip:

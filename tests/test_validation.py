@@ -68,6 +68,14 @@ class TestPositivity:
         with pytest.raises(ValueError):
             check_non_negative(-1, "x")
 
+    def test_check_non_negative_rejects_nan(self):
+        # ``nan < 0`` is False, so a bare comparison lets NaN through.
+        with pytest.raises(ValueError, match="x must be >= 0, got nan"):
+            check_non_negative(float("nan"), "x")
+        with pytest.raises(ValueError):
+            check_non_negative(np.float64("nan"), "x")
+        assert check_non_negative(float("inf"), "x") == float("inf")
+
 
 class TestProbabilityVector:
     def test_normalizes(self):
