@@ -300,10 +300,10 @@ class DecisionPipeline:
         profile:
             When true, attach a
             :class:`~repro.observability.RunProfiler`: per-stage
-            wall/CPU seconds, scheduler queue wait and ``tracemalloc``
-            allocation deltas land on ``report.profiles`` (see
-            ``docs/OBSERVABILITY.md``).  Off by default — it starts
-            ``tracemalloc``, which costs real overhead.
+            wall/CPU seconds, scheduler queue wait and, when the
+            caller already has ``tracemalloc`` running, allocation
+            deltas land on ``report.profiles`` (see
+            ``docs/OBSERVABILITY.md``).  Off by default.
 
         Returns
         -------

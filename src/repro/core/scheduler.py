@@ -177,7 +177,6 @@ class DagScheduler:
                                session=session, run_id=run_id)
             if (not executor.concurrent or len(stages) <= 1
                     or _dag.is_chain(deps)):
-                run.serial = True
                 self._execute_chain(stages, run)
                 return
             self._execute_concurrent(stages, deps, run, control,
@@ -279,7 +278,6 @@ class _StageRunner:
                          else _executors._Session())
         self._run_id = "" if run_id is None else str(run_id)
         self._ready = {}
-        self.serial = False
         if metrics is not None:
             self._m_attempts = metrics.counter(
                 "engine.stage_attempts_total",
@@ -328,8 +326,7 @@ class _StageRunner:
         if self._m_queue_wait is not None:
             self._m_queue_wait.observe(queue_wait, stage=stage.name)
         token = (self._profiler.stage_begin(stage.name, stage.layer,
-                                            queue_wait,
-                                            serial=self.serial)
+                                            queue_wait)
                  if self._profiler is not None else None)
         run = _StageRun(stage, index, start, token)
         if self._replay_from_cache(run):

@@ -16,7 +16,7 @@ import operator
 
 import numpy as np
 
-from .._validation import check_non_negative, ensure_rng
+from .._validation import check_non_negative, check_positive, ensure_rng
 
 __all__ = ["GpsPoint", "Trajectory"]
 
@@ -170,8 +170,7 @@ class Trajectory:
         Models low-frequency GPS devices; the first and last samples are
         always kept.
         """
-        if interval <= 0:
-            raise ValueError(f"interval must be > 0, got {interval!r}")
+        check_positive(interval, "interval")
         ts = self._t
         new_times = np.arange(ts[0], ts[-1], interval)
         if new_times[-1] < ts[-1]:

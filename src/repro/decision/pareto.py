@@ -30,6 +30,7 @@ import numpy as np
 from .._validation import check_positive, check_probability_vector
 from ..datatypes import RoadNetwork
 from ..governance.uncertainty import Histogram
+from .stochastic import _dominated, _support_union
 
 __all__ = [
     "pareto_front",
@@ -83,9 +84,10 @@ def stochastic_pareto_front(options, *, tol=1e-9, reduce_to=None):
     FSD-better (``CDF_A >= CDF_B`` everywhere, as costs) in *every*
     objective and strictly better in at least one — the distributional
     generalization of :func:`dominates`.  Each objective's verdicts are
-    decided exactly on one shared union-support grid, so the whole
-    front costs one CDF matrix per objective instead of n²·m pairwise
-    dominance calls.
+    decided exactly on one shared union-support grid, and the
+    dominance-pruning kernel of :mod:`repro.decision.stochastic` reads
+    all objectives' CDF matrices at once, so the whole front costs one
+    CDF matrix per objective instead of n²·m pairwise dominance calls.
 
     With ``reduce_to=k``, the option ensemble is first compressed by
     W1 forward selection under the *summed* per-objective Wasserstein
@@ -121,21 +123,14 @@ def stochastic_pareto_front(options, *, tol=1e-9, reduce_to=None):
         original = reduction.indices
         options = [options[int(i)] for i in original]
 
-    n = len(options)
-    weak = np.ones((n, n), dtype=bool)
-    strict = np.zeros((n, n), dtype=bool)
+    scores = []
     for j in range(n_objectives):
         members = [option[j] for option in options]
-        grid = np.unique(np.concatenate([m.support for m in members]))
-        cdf = np.vstack([m.cdf(grid) for m in members])
-        diff = cdf[:, None, :] - cdf[None, :, :]
-        weak &= (diff >= -tol).all(axis=2)
-        strict |= (diff > tol).any(axis=2)
-    dominated = (weak & strict)
-    np.fill_diagonal(dominated, False)
-    survivors = np.flatnonzero(~dominated.any(axis=0))
+        grid = _support_union(members)
+        scores.append(np.vstack([m.cdf(grid) for m in members]))
+    survivors = np.flatnonzero(~_dominated(scores, tol))
     if len(survivors) == 0:  # all mutually dominated within tolerance
-        survivors = np.arange(n)
+        survivors = np.arange(len(options))
     return [int(original[s]) for s in survivors]
 
 

@@ -15,8 +15,9 @@ queries run over k instead of N:
   distance between two histograms: both CDFs are step functions
   jumping only at positive-mass atoms, so the CDF-difference integral
   is a finite sum over the union of atoms — no quadrature grid, no
-  approximation error (contrast the fixed-grid estimate in
-  :func:`repro.governance.uncertainty.travel_time.wasserstein_distance`);
+  approximation error.  It is
+  :func:`repro.governance.uncertainty.wasserstein_distance`,
+  re-exported here, the one W1 the library has;
 * :func:`wasserstein_matrix` / :func:`dtw_band_matrix` — vectorized
   pairwise distances over a whole ensemble (shared union-grid CDF
   matrix; ensemble-axis-vectorized Sakoe-Chiba-banded DTW), gated
@@ -59,7 +60,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .._validation import check_positive, check_probability_vector
-from ..governance.uncertainty import Histogram
+from ..governance.uncertainty import Histogram, wasserstein_distance
+from ..governance.uncertainty.travel_time import _atom_cdf
 
 __all__ = [
     "Reduction",
@@ -86,39 +88,6 @@ _DISTORTION_BUCKETS = (0.01, 0.05, 0.1, 0.5, 1.0, 5.0, 10.0, 50.0,
 # ---------------------------------------------------------------------------
 # Distances
 # ---------------------------------------------------------------------------
-
-def _atom_cdf(histograms):
-    """Shared positive-mass atom grid + stacked CDF matrix.
-
-    A histogram's CDF only jumps at bins with positive mass, so the
-    union of positive atoms carries the complete step functions of
-    every member; zero-mass padding bins would only inflate the grid.
-    """
-    grid = np.unique(np.concatenate([
-        h.atoms()[0] for h in histograms
-    ]))
-    cdf = np.vstack([h.cdf(grid) for h in histograms])
-    return grid, cdf
-
-
-def wasserstein_distance(first, second):
-    """Exact W1 distance between two :class:`Histogram` distributions.
-
-    ``W1(F, G) = ∫ |F(x) - G(x)| dx``; both CDFs are right-continuous
-    step functions constant between consecutive atoms, so the integral
-    is the finite sum ``Σ |F(x_i) - G(x_i)| (x_{i+1} - x_i)`` over the
-    sorted union of the two positive-mass supports — exact, no
-    quadrature grid.
-    """
-    if not isinstance(first, Histogram) or not isinstance(second,
-                                                          Histogram):
-        raise TypeError("arguments must be Histograms")
-    grid, cdf = _atom_cdf([first, second])
-    if len(grid) < 2:
-        return 0.0
-    gaps = np.diff(grid)
-    return float(np.abs(cdf[0, :-1] - cdf[1, :-1]) @ gaps)
-
 
 def wasserstein_matrix(histograms):
     """Pairwise exact-W1 matrix over an ensemble of histograms.

@@ -28,6 +28,8 @@ representative — gated end-to-end by BENCH_e29).
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from ..governance.uncertainty import Histogram
@@ -116,94 +118,86 @@ _COARSE_COLUMNS = 24
 _PAIR_BLOCK = 4096
 
 
-def _coarse_columns(n_grid):
-    """Evenly spaced column indices for the prefilter (ends included)."""
-    return np.unique(
-        np.linspace(0, n_grid - 1, min(n_grid, _COARSE_COLUMNS)).astype(int)
+@functools.lru_cache(maxsize=256)
+def _coarse_columns(n_columns):
+    """Evenly spaced column indices for the prefilter (ends included);
+    one shared read-only array per grid size."""
+    columns = np.unique(
+        np.linspace(0, n_columns - 1, min(n_columns, _COARSE_COLUMNS))
+        .astype(int)
     )
+    columns.flags.writeable = False
+    return columns
 
 
-def _dominated_mask_fsd(candidates, tol):
-    """Boolean mask of FSD-dominated candidates (matrix kernel).
+def _dominated(scores, slack):
+    """Boolean mask of the rows another row dominates (matrix kernel).
 
-    CDFs are step functions jumping only at support points, so a single
-    shared union-support grid decides every pair exactly — the same
-    verdicts as k² :func:`first_order_dominates` calls.  Two passes:
+    ``scores`` holds one or more ``(n, G)`` matrices, each row one
+    candidate on that matrix's shared grid, a larger score better.  Row
+    ``i`` dominates row ``j`` when it is weakly better (``score_i >=
+    score_j - slack``) on every matrix and strictly better (``score_i >
+    score_j + slack``) somewhere on at least one.  ``slack`` is one
+    float for every pair, or an ``(n, n)`` array holding pair
+    ``(i, j)``'s slack at ``[i, j]``.  These are the pairwise criteria's
+    own comparisons, so on the same score values every verdict is
+    theirs.
 
-    1. a coarse *necessary-condition* screen — ``CDF_i >= CDF_j``
-       everywhere on the full grid implies it on any column subset, so
-       any pair violating the subset is ruled out for the price of a
-       tiny ``(k, k, C)`` broadcast;
-    2. an exact check of the surviving pairs on the full grid.
+    Three passes decide all n² pairs:
+
+    1. a coarse *necessary-condition* screen — weak dominance on the
+       full grid implies it on any column subset, so a tiny
+       ``(n, n, C)`` boolean broadcast rules out most pairs;
+    2. a champion row — the row with the largest total score is
+       checked exactly against all others up front, which settles most
+       dominated columns in one pass;
+    3. an exact check of the remaining screened pairs on the full
+       grids, ``_PAIR_BLOCK`` pairs at a time.
 
     In the realistic regime (heavily overlapping candidate costs, few
     dominations) pass 1 eliminates almost every pair, so the exact pass
-    touches a handful of rows instead of all k².
+    touches a handful of rows instead of all n².  The champion only
+    changes the order in which dominated columns are found.
     """
-    grid = _support_union(candidates)
-    cdf = np.vstack([c.cdf(grid) for c in candidates])
-    coarse = cdf[:, _coarse_columns(cdf.shape[1])]
-    maybe = (coarse[:, None, :] >= coarse[None, :, :] - tol).all(axis=2)
+    per_pair = np.ndim(slack) > 0
+    # A larger slack only loosens the weak test, so screening with each
+    # column's largest slack keeps every pair the exact pass would.
+    loose = slack.max(axis=0)[:, None] if per_pair else slack
+    maybe = totals = None
+    for score in scores:
+        coarse = score[:, _coarse_columns(score.shape[1])]
+        weak = (coarse[:, None, :] >= coarse - loose).all(axis=2)
+        maybe = weak if maybe is None else maybe & weak
+        total = score.sum(axis=1)
+        totals = total if totals is None else totals + total
     np.fill_diagonal(maybe, False)
-    dominated = np.zeros(len(candidates), dtype=bool)
-    # Champion pass: one exact row-vs-all check by the stochastically
-    # smallest candidate settles most dominated columns up front, so
-    # the pair sweep only works the contested remainder.
-    champion = int(np.argmax(cdf.sum(axis=1)))
-    diff = cdf[champion] - cdf
-    dominated |= (diff.min(axis=1) >= -tol) & (diff.max(axis=1) > tol)
+    champion = int(np.argmax(totals))
+    dominated = _dominates(scores, champion, slice(None),
+                           slack[champion] if per_pair else slack)
     maybe[:, dominated] = False
     rows, cols = np.nonzero(maybe)
     for begin in range(0, len(rows), _PAIR_BLOCK):
         i = rows[begin:begin + _PAIR_BLOCK]
         j = cols[begin:begin + _PAIR_BLOCK]
-        diff = cdf[i] - cdf[j]
-        # i dominates j: CDF_i >= CDF_j everywhere, strictly somewhere.
-        hit = (diff.min(axis=1) >= -tol) & (diff.max(axis=1) > tol)
+        hit = _dominates(scores, i, j, slack[i, j] if per_pair else slack)
         dominated[j[hit]] = True
     return dominated
 
 
-def _dominated_mask_ssd(candidates, tol):
-    """Boolean mask of SSD-dominated candidates (matrix kernel).
-
-    Exact upper partial moments on the shared union-support grid; the
-    tails are piecewise linear with breakpoints inside the grid, so the
-    pair comparison is exact.  Same two-pass structure as
-    :func:`_dominated_mask_fsd` — dominance requires ``tail_i <=
-    tail_j`` everywhere on the full grid, hence on any column subset,
-    so the coarse screen is a sound prefilter.
-    """
-    grid = _support_union(candidates)
-    tails = np.vstack([
-        _upper_partial_moments(c, grid) for c in candidates
-    ])
-    # Slack keyed on the dominated column, matching
-    # second_order_dominates.
-    slack = tol * np.maximum(tails[:, 0], 1.0)
-    coarse = tails[:, _coarse_columns(tails.shape[1])]
-    maybe = (
-        coarse[:, None, :] <= coarse[None, :, :] + slack[None, :, None]
-    ).all(axis=2)
-    np.fill_diagonal(maybe, False)
-    dominated = np.zeros(len(candidates), dtype=bool)
-    # Champion pass, as in the FSD kernel: the candidate with the
-    # lowest aggregate tail knocks out most dominated columns exactly.
-    champion = int(np.argmin(tails.sum(axis=1)))
-    diff = tails[champion] - tails
-    dominated |= (diff.max(axis=1) <= slack) & (diff.min(axis=1) < -slack)
-    maybe[:, dominated] = False
-    rows, cols = np.nonzero(maybe)
-    for begin in range(0, len(rows), _PAIR_BLOCK):
-        i = rows[begin:begin + _PAIR_BLOCK]
-        j = cols[begin:begin + _PAIR_BLOCK]
-        diff = tails[i] - tails[j]
-        # i dominates j: tail_i <= tail_j everywhere, strictly below
-        # somewhere.
-        hit = (diff.max(axis=1) <= slack[j]) & \
-            (diff.min(axis=1) < -slack[j])
-        dominated[j[hit]] = True
-    return dominated
+def _dominates(scores, i, j, slack):
+    """Whether row ``i`` dominates row ``j`` on every score matrix, for
+    each aligned entry of the row selections ``i`` and ``j``; ``slack``
+    is one float or one per entry."""
+    if np.ndim(slack):
+        slack = slack[:, None]
+    weak = strict = None
+    for score in scores:
+        first, second = score[i], score[j]
+        low = (first >= second - slack).all(axis=1)
+        high = (first > second + slack).any(axis=1)
+        weak = low if weak is None else weak & low
+        strict = high if strict is None else strict | high
+    return weak & strict
 
 
 def _resolve_reduction(candidates, reduce_to, reduction):
@@ -233,10 +227,10 @@ def dominance_prune(candidates, *, order=1, tol=1e-9, reduce_to=None,
     """Indices of candidates not dominated by any other candidate.
 
     All k² dominance relations are decided by one matrix kernel on a
-    shared union-support grid (see :func:`_dominated_mask_fsd` /
-    :func:`_dominated_mask_ssd`) instead of k² independent pairwise
-    calls — same verdicts, one to two orders of magnitude faster at
-    fleet-scale candidate counts.
+    shared union-support grid (see :func:`_dominated`) instead of k²
+    independent pairwise calls — same verdicts, one to two orders of
+    magnitude faster at fleet-scale candidate counts.  FSD scores the
+    CDF rows, SSD the negated upper partial moments.
 
     Parameters
     ----------
@@ -271,21 +265,27 @@ def dominance_prune(candidates, *, order=1, tol=1e-9, reduce_to=None,
     if not candidates:
         return []
     chosen = _resolve_reduction(candidates, reduce_to, reduction)
-    if chosen is not None:
-        pool = [candidates[int(i)] for i in chosen.indices]
-        dominated = (_dominated_mask_fsd(pool, tol) if order == 1
-                     else _dominated_mask_ssd(pool, tol))
-        survivors = [int(chosen.indices[p])
-                     for p in np.flatnonzero(~dominated)]
-        if not survivors:
-            survivors = [int(i) for i in chosen.indices]
-        return survivors
-    dominated = (_dominated_mask_fsd(candidates, tol) if order == 1
-                 else _dominated_mask_ssd(candidates, tol))
-    survivors = [int(i) for i in np.flatnonzero(~dominated)]
-    if not survivors:  # all mutually dominated within tolerance
-        survivors = list(range(len(candidates)))
-    return survivors
+    indices = (range(len(candidates)) if chosen is None
+               else chosen.indices.tolist())
+    pool = [candidates[i] for i in indices]
+    grid = _support_union(pool)
+    if order == 1:
+        dominated = _dominated([np.vstack([c.cdf(grid) for c in pool])],
+                               tol)
+    else:
+        tails = np.vstack([_upper_partial_moments(c, grid) for c in pool])
+        # Smaller tails are better, so the kernel scores their negation
+        # (exact: IEEE rounding is symmetric under negation).  As in
+        # second_order_dominates, pair (i, j)'s slack scales with j's
+        # tail at the first point of the pair's own union grid: the
+        # lower of the two histograms' starts.
+        first = np.searchsorted(grid, [c.start for c in pool])
+        first = np.minimum(first[:, None], first[None, :])
+        slack = tol * np.maximum(tails[np.arange(len(pool)), first], 1.0)
+        dominated = _dominated([-tails], slack)
+    survivors = [indices[p] for p in np.flatnonzero(~dominated).tolist()]
+    # All mutually dominated within tolerance: keep every candidate.
+    return survivors or list(indices)
 
 
 def select_best(candidates, utility, *, prune=True, order=1,

@@ -16,14 +16,14 @@ to the scheduler; for every stage it records
   over the stage: net retained allocation and the traced-memory peak
   above the stage's baseline, in the parent process only.
 
-The profiler starts ``tracemalloc`` if it is not already tracing (and
-stops it again when the run ends, leaving a caller's own tracing and
-recorded peak untouched).  Peak deltas are exact for sequential
-(chain) pipelines when the profiler started tracing; otherwise, and
-under concurrent execution, where the interpreter-wide peak is shared,
-a stage's ``peak_alloc_bytes`` is an upper bound that may include
-other allocations — documented, deterministic behaviour rather than a
-lie of precision.
+Memory is recorded only when the caller already has ``tracemalloc``
+running; the profiler never starts, stops or resets it, so a profiled
+run costs a CPU clock read per stage and the allocation fields read 0
+otherwise.  The interpreter-wide peak is shared by everything the
+caller traces, so a stage's ``peak_alloc_bytes`` is an upper bound
+that may include other allocations (other stages under concurrency,
+or anything traced before the stage began) — documented,
+deterministic behaviour rather than a lie of precision.
 
 Results land on :attr:`RunReport.profiles` as plain dicts, render in
 :meth:`RunReport.render`, and are dumpable via ``python -m
@@ -96,41 +96,27 @@ class RunProfiler:
     The scheduler calls :meth:`stage_begin` in the worker thread just
     before a stage's first attempt and :meth:`stage_end` when the
     stage reaches any terminal outcome; both are cheap (a CPU clock
-    read and a ``tracemalloc.get_traced_memory`` call).
+    read, plus a ``tracemalloc.get_traced_memory`` call when the caller
+    traces).
     """
 
     def __init__(self):
         self._lock = threading.Lock()  # noqa: RC034 -- per-run profiler; results exported as plain dicts
         self._profiles = {}
-        self._started_tracemalloc = False
         self._active = False
 
     def start(self):
-        if not tracemalloc.is_tracing():
-            tracemalloc.start()
-            self._started_tracemalloc = True
         self._active = True
         return self
 
     def stop(self):
         self._active = False
-        if self._started_tracemalloc:
-            tracemalloc.stop()
-            self._started_tracemalloc = False
         return self
 
-    def stage_begin(self, stage, layer, queue_wait=0.0, *,
-                    serial=False):
-        """Capture baselines in the executing thread; returns a token.
-
-        ``serial=True`` (chain execution) additionally resets the
-        tracemalloc peak — if this profiler started tracing — so the
-        stage's peak delta is exact rather than an upper bound.
-        """
+    def stage_begin(self, stage, layer, queue_wait=0.0):
+        """Capture baselines in the executing thread; returns a token."""
         if not self._active:
             return None
-        if serial and self._started_tracemalloc:
-            tracemalloc.reset_peak()
         mem0 = (tracemalloc.get_traced_memory()[0]
                 if tracemalloc.is_tracing() else 0)
         return _StageToken(stage, layer, queue_wait, mem0)

@@ -25,8 +25,9 @@ session's ``tick``, so incremental streaming sessions show up as
   instrumentation keeps working),
 * a fresh :class:`~repro.observability.MetricsRegistry` is installed
   as the process default, capturing engine and hot-path cache series,
-* ``--profile`` turns on per-stage profiling (wall/CPU time, memory,
-  queue wait) for runs that did not request it themselves.
+* ``--profile`` turns on per-stage profiling (wall/CPU time, queue
+  wait, and memory when ``tracemalloc`` is running) for runs that did
+  not request it themselves.
 """
 
 from __future__ import annotations

@@ -13,7 +13,9 @@ model's key order.
 label arrays that ``SkylineRouter.skyline`` replaced; it is the oracle
 only where ``max_labels`` never binds (when it binds, it can re-queue a
 node forever).  ``_dominance_prune_pairwise`` is the k² pairwise
-stochastic-dominance prune that ``dominance_prune`` replaced.
+stochastic-dominance prune that ``dominance_prune`` replaced, and
+``stochastic_pareto_reference`` the n² pairwise multi-objective FSD
+check behind ``stochastic_pareto_front``.
 
 ``candidate_edges_scan`` and ``nearest_node_scan`` are the brute-force
 scans behind ``RoadNetwork.candidate_edges`` and ``nearest_node``;
@@ -41,7 +43,6 @@ from repro._validation import check_finite_points, ensure_rng
 from repro.datasets.traffic import diurnal_profile
 from repro.datatypes import GpsPoint, Trajectory
 from repro.decision.pareto import dominates
-from repro.decision.reduction import wasserstein_distance
 from repro.decision.stochastic import (
     first_order_dominates,
     second_order_dominates,
@@ -50,6 +51,7 @@ from repro.governance.uncertainty import (
     GaussianMixture,
     Histogram,
     TimeVaryingDistribution,
+    wasserstein_distance,
 )
 
 FULL_DAY = ((0.0, 24 * 60.0),)
@@ -222,6 +224,36 @@ def _dominance_prune_pairwise(candidates, *, order=1, tol=1e-9):
     if not survivors:
         survivors = list(range(len(candidates)))
     return survivors
+
+
+def stochastic_pareto_reference(options, *, tol=1e-9):
+    """Indices of the options no other option dominates, pair by pair:
+    on every objective weakly FSD-better (``CDF >= other - tol`` on the
+    pair's union of supports) and on at least one strictly (``CDF >
+    other + tol`` somewhere).  All of them when every option is
+    dominated within tolerance."""
+    def compare(first, second):
+        grid = np.union1d(first.support, second.support)
+        mine, theirs = first.cdf(grid), second.cdf(grid)
+        return (bool(np.all(mine >= theirs - tol)),
+                bool(np.any(mine > theirs + tol)))
+
+    options = [tuple(option) for option in options]
+    survivors = []
+    for index, option in enumerate(options):
+        dominated = False
+        for other_index, other in enumerate(options):
+            if other_index == index:
+                continue
+            verdicts = [compare(mine, theirs)
+                        for mine, theirs in zip(other, option)]
+            if all(weak for weak, _ in verdicts) and any(
+                    strict for _, strict in verdicts):
+                dominated = True
+                break
+        if not dominated:
+            survivors.append(index)
+    return survivors or list(range(len(options)))
 
 
 def candidate_edges_scan(network, point, radius):

@@ -573,8 +573,16 @@ def _two_stage_pipeline():
 
 class TestProfiling:
     def test_profile_attaches_per_stage_numbers(self):
-        with use_registry():
-            _, report = _two_stage_pipeline().run(profile=True)
+        # Memory is recorded only while the caller traces.
+        already_tracing = tracemalloc.is_tracing()
+        if not already_tracing:
+            tracemalloc.start()
+        try:
+            with use_registry():
+                _, report = _two_stage_pipeline().run(profile=True)
+        finally:
+            if not already_tracing:
+                tracemalloc.stop()
         assert sorted(report.profiles) == ["consume", "produce"]
         produce = report.profile("produce")
         assert {"stage", "layer", "wall_seconds", "cpu_seconds",
@@ -586,6 +594,17 @@ class TestProfiling:
         # 20k floats cost well over 100 KiB
         assert produce["peak_alloc_bytes"] > 100_000
         assert report.profile("consume")["wall_seconds"] > 0.0
+
+    def test_profile_leaves_tracemalloc_off(self):
+        if tracemalloc.is_tracing():
+            pytest.skip("the test process is already tracing")
+        with use_registry():
+            _, report = _two_stage_pipeline().run(profile=True)
+        assert not tracemalloc.is_tracing()
+        produce = report.profile("produce")
+        assert produce["net_alloc_bytes"] == 0
+        assert produce["peak_alloc_bytes"] == 0
+        assert produce["wall_seconds"] > 0.0
 
     def test_profile_off_by_default(self):
         with use_registry():

@@ -71,6 +71,10 @@ class TestTransformations:
         with pytest.raises(ValueError):
             straight_line().resample(0.0)
 
+    def test_resample_rejects_nan(self):
+        with pytest.raises(ValueError, match="interval must be > 0"):
+            straight_line().resample(float("nan"))
+
     def test_noise_zero_sigma_identity(self):
         original = straight_line()
         noisy = original.with_noise(0.0, np.random.default_rng(0))
