@@ -14,8 +14,6 @@ from __future__ import annotations
 
 import numpy as np
 
-import networkx as nx
-
 from .._validation import check_positive, ensure_rng
 from ..datatypes import Trajectory
 from .traffic import TrafficSimulator
@@ -32,7 +30,7 @@ def simulate_trip(network, path, edge_times, *, start_time=0.0,
     endpoints.  The clocks are running sums (``np.add.accumulate`` adds
     in order, as a loop would), and each sample is placed on the first
     edge that ends after it.  Node positions come from the network's
-    geometry snapshot, and the trajectory is built from those columns
+    position array, and the trajectory is built from those columns
     directly.
 
     Returns
@@ -62,8 +60,7 @@ def simulate_trip(network, path, edge_times, *, start_time=0.0,
     edge = np.searchsorted(clocks[1:], samples, side="right")
     fractions = np.minimum(np.maximum(
         (samples - clocks[edge]) / durations[edge], 0.0), 1.0)
-    geometry = network._geometry()
-    xy = geometry.node_xy[[geometry.index_of[node] for node in path]]
+    xy = network._xy[[network._index[node] for node in path]]
     along = xy[edge] + fractions[:, None] * (xy[edge + 1] - xy[edge])
     return Trajectory._from_columns(
         np.concatenate([xy[:1], along, xy[-1:]]),
@@ -107,19 +104,19 @@ class TrajectoryGenerator:
         raise RuntimeError("could not find a sufficiently distant OD pair")
 
     def plan_route(self, origin, destination, *, perturb=True):
-        """A driver's route choice: shortest path under perturbed costs."""
-        graph = self.network.graph
-        weights = {}
+        """A driver's route choice: shortest path under perturbed costs.
+
+        One cost per edge, drawn in edge order.  An unknown node raises
+        :class:`KeyError`, no path :class:`ValueError`.
+        """
+        costs = []
         for u, v in self.network.edges():
             cost = self.network.edge_length(u, v)
             if perturb and self.preference_noise > 0:
                 cost *= float(np.exp(self._rng.normal(
                     0.0, self.preference_noise)))
-            weights[(u, v)] = cost
-        return nx.dijkstra_path(
-            graph, origin, destination,
-            weight=lambda u, v, data: weights[(u, v)],
-        )
+            costs.append(cost)
+        return self.network._shortest(origin, destination, costs)
 
     def generate(self, n_trips, *, departure_minute=8 * 60,
                  sample_interval=0.5, noise_sigma=0.0, min_hops=3):

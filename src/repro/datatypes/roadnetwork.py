@@ -7,6 +7,12 @@ graph all of those components share: nodes with planar coordinates,
 edges with lengths, geometric queries for map matching, and classic
 path utilities.
 
+The network holds its graph as plain lists and arrays, in networkx's
+node and edge order, and its searches are ports of networkx 3.6's, so
+they return networkx's paths, ties included, without loading it.
+networkx is imported only to build the :attr:`RoadNetwork.graph`
+export.
+
 The paper's systems run on real networks (OpenStreetMap extracts); the
 generators here (:meth:`RoadNetwork.grid`,
 :meth:`RoadNetwork.random_geometric`) synthesize networks with the same
@@ -16,13 +22,11 @@ routes between most origin-destination pairs — with known ground truth.
 
 from __future__ import annotations
 
-import contextlib
 import heapq
 import itertools
 import math
 import threading
 
-import networkx as nx
 import numpy as np
 
 from .._validation import check_finite_points, ensure_rng
@@ -48,24 +52,62 @@ def _memoized(store, key, stamp, lock, build, *args):
     return entry[1]
 
 
-def _check_nodes(graph, *nodes):
+def _check_nodes(index, *nodes):
     """Raise :class:`KeyError` for the first of ``nodes`` not in
-    ``graph``."""
+    ``index``."""
     for node in nodes:
-        if node not in graph:
+        if node not in index:
             raise KeyError(f"node {node!r} is not in the network")
 
 
-@contextlib.contextmanager
-def _typed_path_errors(graph, *nodes):
-    """Run a networkx path search over ``nodes`` with the repo's error
-    types: :class:`KeyError` for a node not in ``graph``,
-    :class:`ValueError` when no path exists."""
-    _check_nodes(graph, *nodes)
-    try:
-        yield
-    except nx.NetworkXNoPath as error:
-        raise ValueError(str(error)) from error
+def _dijkstra(succ, heads, weights, source, target):
+    """networkx 3.6's ``_dijkstra_multisource`` from ``source`` to
+    ``target`` over integer rows.
+
+    ``succ[i]`` lists node ``i``'s out-edges in successor order,
+    ``heads[e]`` is edge ``e``'s head and ``weights[e]`` its cost; an
+    edge whose cost is ``None`` is skipped.  Costs are added as given,
+    and the heap orders ``(distance, push count)`` exactly as
+    networkx's does, so ties resolve as in networkx.  Returns
+    ``(distance, path)`` with ``path`` an index list, or ``None`` when
+    ``target`` is unreachable.
+    """
+    settled = [None] * len(succ)
+    seen = [None] * len(succ)
+    seen[source] = 0
+    parent = {}
+    fringe = [(0, 0, source)]
+    pushes = 1
+    push, pop = heapq.heappush, heapq.heappop
+    while fringe:
+        dist, _, v = pop(fringe)
+        if settled[v] is not None:
+            continue
+        settled[v] = dist
+        if v == target:
+            break
+        for edge in succ[v]:
+            cost = weights[edge]
+            if cost is None:
+                continue
+            u = heads[edge]
+            length = dist + cost
+            if settled[u] is not None:
+                if length < settled[u]:
+                    raise ValueError("Contradictory paths found:",
+                                     "negative weights?")
+            elif seen[u] is None or length < seen[u]:
+                seen[u] = length
+                push(fringe, (length, pushes, u))
+                pushes += 1
+                parent[u] = v
+    if settled[target] is None:
+        return None
+    path = [target]
+    while path[-1] in parent:
+        path.append(parent[path[-1]])
+    path.reverse()
+    return settled[target], path
 
 
 def _bidirectional_dijkstra(adjacency, source, target, ignore_nodes,
@@ -191,36 +233,95 @@ def _yen(adjacency, source, target, k):
     return found
 
 
-class _GeometryIndex:
-    """The network's one lazily built snapshot: geometry, grid, adjacency.
+def _strongly_connected_components(succ):
+    """networkx 3.6's ``strongly_connected_components`` (Tarjan with
+    Nuutila's changes, non-recursive) over integer successor rows.
 
-    Built once per network revision (keyed on the graph shape and the
-    ``length`` edits) and shared by every geometric query and every
-    array Dijkstra.  It fixes one node order (``node_list`` and its
-    inverse ``index_of``) for all of them.  The grid buckets edges by
-    their bounding boxes and nodes by their cells, so
+    Nodes are ``0..n-1`` and are visited, and each component set is
+    built, in networkx's order, so the sets come out equal and iterate
+    alike.
+    """
+    preorder, lowlink, found, stack = {}, {}, set(), []
+    count = 0
+    neighbours = [iter(row) for row in succ]
+    for source in range(len(succ)):
+        if source in found:
+            continue
+        queue = [source]
+        while queue:
+            v = queue[-1]
+            if v not in preorder:
+                count += 1
+                preorder[v] = count
+            done = True
+            for w in neighbours[v]:
+                if w not in preorder:
+                    queue.append(w)
+                    done = False
+                    break
+            if not done:
+                continue
+            lowlink[v] = preorder[v]
+            for w in succ[v]:
+                if w not in found:
+                    lowlink[v] = min(lowlink[v], lowlink[w]
+                                     if preorder[w] > preorder[v]
+                                     else preorder[w])
+            queue.pop()
+            if lowlink[v] == preorder[v]:
+                component = {v}
+                while stack and preorder[stack[-1]] > preorder[v]:
+                    component.add(stack.pop())
+                found.update(component)
+                yield component
+            else:
+                stack.append(v)
+
+
+def _insertion_order(succ, pred, n_edges):
+    """An order of edge ids whose insertion into a networkx graph
+    rebuilds both the successor rows ``succ`` and the predecessor rows
+    ``pred``: Kahn's algorithm over the two row orders."""
+    after = [[] for _ in range(n_edges)]
+    waiting = [0] * n_edges
+    for rows in (succ, pred):
+        for row in rows:
+            for first, second in zip(row, row[1:]):
+                after[first].append(second)
+                waiting[second] += 1
+    order = [edge for edge in range(n_edges) if not waiting[edge]]
+    for edge in order:  # grows while it is walked
+        for second in after[edge]:
+            waiting[second] -= 1
+            if not waiting[second]:
+                order.append(second)
+    return order
+
+
+class _GeometryIndex:
+    """The network's lazily built spatial snapshot: coordinates and grid.
+
+    Built from the network's own arrays once per ``length`` revision
+    and shared by every geometric query.  It shares the network's node
+    order (``node_list``) and edge order (``edge_list``).  The grid
+    buckets edges by their bounding boxes and nodes by their cells, so
     ``candidate_edges`` and ``nearest_node`` inspect only nearby cells
     instead of scanning the whole graph.
     """
 
-    def __init__(self, graph, lock):
-        self._graph = graph
-        self.edge_list = list(graph.edges())
-        self.node_list = list(graph.nodes())
-        positions = {
-            node: graph.nodes[node]["pos"] for node in self.node_list
-        }
-        self.node_xy = np.asarray(
-            [positions[node] for node in self.node_list], dtype=float
-        ).reshape(len(self.node_list), 2)
-        if self.edge_list:
-            self.a = np.asarray(
-                [positions[u] for u, _ in self.edge_list], dtype=float)
-            self.b = np.asarray(
-                [positions[v] for _, v in self.edge_list], dtype=float)
-        else:
-            self.a = np.zeros((0, 2))
-            self.b = np.zeros((0, 2))
+    def __init__(self, network, lock):
+        self.node_list = network._nodes
+        self.edge_list = network._edges
+        self.node_xy = network._xy
+        # Per-edge endpoint node indices (rows of ``node_list``) and
+        # lengths, so the map matcher never goes back to the network
+        # per candidate.
+        self.edge_u = np.asarray(network._tails, dtype=np.intp)
+        self.edge_v = np.asarray(network._heads, dtype=np.intp)
+        self.edge_length = np.asarray(
+            [data.get("length") for data in network._data], dtype=float)
+        self.a = self.node_xy[self.edge_u]
+        self.b = self.node_xy[self.edge_v]
         self.ab = self.b - self.a
         self.norm2 = (self.ab ** 2).sum(axis=1)
 
@@ -246,19 +347,6 @@ class _GeometryIndex:
         self._edge_hi = self._cell_of(np.maximum(self.a, self.b))
         self._lock = lock
         self._tables = {}
-        self._adjacency = {}
-
-        # Per-edge endpoint node indices (rows of ``node_list``) and
-        # lengths, so the map matcher never goes back to the graph per
-        # candidate.
-        self.index_of = {node: i for i, node in enumerate(self.node_list)}
-        self.edge_u = np.asarray(
-            [self.index_of[u] for u, _ in self.edge_list], dtype=np.intp)
-        self.edge_v = np.asarray(
-            [self.index_of[v] for _, v in self.edge_list], dtype=np.intp)
-        self.edge_length = np.asarray(
-            [length for _, _, length in graph.edges(data="length")],
-            dtype=float)
 
         self._node_cells = {}
         if len(self.node_list):
@@ -353,33 +441,6 @@ class _GeometryIndex:
             np.arange(len(counts), dtype=np.int32), counts)[order]
         return table.reshape(self.nx_cells, self.ny_cells, -1)
 
-    def adjacency(self, weight, edits, *, reverse=False):
-        """Integer adjacency by ``weight``: ``adjacency[i]`` lists
-        ``(edge_weight, successor_index)`` over ``node_list`` rows, in
-        the graph's successor order; with ``reverse``, ``(edge_weight,
-        predecessor_index)`` in its predecessor order.
-
-        Weights follow networkx: an edge without ``weight`` weighs 1,
-        and one whose ``weight`` is ``None`` is left out.  One slot per
-        (weight, direction), stamped with ``edits``, the count of
-        :meth:`RoadNetwork.set_edge_attribute` calls on ``weight``: a
-        re-weighting replaces the slot.
-        """
-        key = ("reverse", weight) if reverse else weight
-        return _memoized(self._adjacency, key, edits, self._lock,
-                         self._build_adjacency, weight,
-                         self._graph.pred if reverse else self._graph.succ)
-
-    def _build_adjacency(self, weight, neighbours):
-        rows = []
-        for node in self.node_list:
-            row = []
-            for other, data in neighbours[node].items():
-                value = data.get(weight, 1)
-                if value is not None:
-                    row.append((float(value), self.index_of[other]))
-            rows.append(row)
-        return rows
 
     #: Max (point, edge) slots projected at once by
     #: :meth:`trace_candidates`; bounds its scratch memory when a
@@ -491,106 +552,165 @@ class RoadNetwork:
 
     Nodes are arbitrary hashables with a ``pos=(x, y)`` attribute; edges
     carry at least a positive ``length``.  Additional per-edge data (speed
-    distributions, observed weights) is attached by the governance layer.
+    distributions, observed weights) is attached by the governance layer
+    through :meth:`set_edge_attribute`.
+
+    The network owns its graph as lists and arrays: the node order, an
+    ``(n, 2)`` position array, edge endpoints in networkx's edge order
+    (by source in node order, then by insertion), one attribute dict
+    per edge, and successor and predecessor rows of edge ids.  Nodes
+    and edges are fixed at construction; :meth:`set_edge_attribute` is
+    the one mutator, and it stamps every snapshot that reads the
+    attribute it sets.
 
     **Thread-safety contract:** every *query* method (geometry lookups,
     ``candidate_edges``, ``nearest_node``, Dijkstra variants, path
     utilities) is safe to call from many threads concurrently — the
-    lazily built snapshot and its tables are constructed under a lock
-    and installed atomically, so concurrent first callers never
-    observe a torn snapshot and never duplicate a build.  *Mutation*
-    (``set_edge_attribute``, editing ``graph`` in place,
-    ``invalidate_geometry``) is not synchronized against concurrent
-    queries; quiesce queries before mutating, exactly as before.
+    lazily built snapshots are constructed under a lock and installed
+    atomically, so concurrent first callers never observe a torn
+    snapshot and never duplicate a build.  ``set_edge_attribute`` is
+    not synchronized against concurrent queries; quiesce queries before
+    mutating.
     """
 
     def __init__(self, graph=None):
-        self._graph = graph if graph is not None else nx.DiGraph()
-        for node, data in self._graph.nodes(data=True):
-            if "pos" not in data:
-                raise ValueError(f"node {node!r} is missing a 'pos' attribute")
-        for u, v, data in self._graph.edges(data=True):
-            if data.get("length", 0) <= 0:
-                raise ValueError(f"edge ({u!r}, {v!r}) needs a positive length")
-        self._init_caches()
+        """Read a networkx-style directed ``graph`` (empty by default)
+        through ``nodes(data=True)``, ``edges(data=True)`` and
+        ``pred``; its attribute dicts are copied."""
+        nodes, positions, edges, data = [], [], [], []
+        if graph is not None:
+            for node, attributes in graph.nodes(data=True):
+                if "pos" not in attributes:
+                    raise ValueError(
+                        f"node {node!r} is missing a 'pos' attribute")
+                nodes.append(node)
+                positions.append(attributes["pos"])
+            for u, v, attributes in graph.edges(data=True):
+                if attributes.get("length", 0) <= 0:
+                    raise ValueError(
+                        f"edge ({u!r}, {v!r}) needs a positive length")
+                edges.append((u, v))
+                data.append(dict(attributes))
+        self._assemble(nodes, positions, edges, data)
+        if graph is not None:
+            self._pred = [[self._edge_index[u, v] for u in graph.pred[v]]
+                          for v in nodes]
 
-    def _init_caches(self):
-        """Fresh snapshot holders + the lock that guards their builds."""
+    def _assemble(self, nodes, positions, edges, data, pred=None):
+        """Install the owned state and derive its lookups.
+
+        ``edges`` are ``(u, v)`` pairs in edge order (grouped by source
+        in node order), ``data`` their attribute dicts and ``pred[i]``
+        node ``i``'s in-edges in predecessor order; by default in edge
+        order, as when a graph's edges were added in edge order.
+        """
+        self._nodes, self._edges, self._data = nodes, edges, data
+        self._xy = np.asarray(positions, dtype=float).reshape(len(nodes), 2)
+        self._index = {node: i for i, node in enumerate(nodes)}
+        self._tails = [self._index[u] for u, _ in edges]
+        self._heads = [self._index[v] for _, v in edges]
+        self._edge_index = {edge: e for e, edge in enumerate(edges)}
+        self._succ = [[] for _ in nodes]
+        for edge, tail in enumerate(self._tails):
+            self._succ[tail].append(edge)
+        if pred is None:
+            pred = [[] for _ in nodes]
+            for edge, head in enumerate(self._heads):
+                pred[head].append(edge)
+        self._pred = pred
         self._cache_lock = threading.RLock()
-        # Per-attribute count of set_edge_attribute calls: part of the
-        # key of every snapshot that reads that attribute.
+        # Per-attribute count of set_edge_attribute calls: the stamp of
+        # every snapshot that reads that attribute.
         self._edits = {}
-        # The _GeometryIndex, installed by _memoized under one key.
+        # Lazy snapshots, installed by _memoized: the geometry index,
+        # per-weight cost lists and adjacency, and the graph export.
         self._snapshot = {}
 
     def __getstate__(self):
-        """Pickle without the lock; snapshots rebuild lazily on load.
+        """Pickle the owned state only; snapshots rebuild lazily on load.
 
-        Dropping the caches also keeps content fingerprints (and
+        Dropping the snapshots also keeps content fingerprints (and
         process-executor shipping) independent of how warm this
         network's lazy indexes happen to be.
         """
-        state = self.__dict__.copy()
-        state.pop("_cache_lock", None)
-        state.pop("_edits", None)
-        state.pop("_snapshot", None)
-        return state
+        return self._nodes, self._xy, self._edges, self._data, self._pred
 
     def __setstate__(self, state):
-        self.__dict__.update(state)
-        self._init_caches()
+        self._assemble(*state)
 
     # -- construction ------------------------------------------------------
+
+    @classmethod
+    def _from_edges(cls, nodes, positions, edges, data):
+        """A network of ``edges`` in edge order, in-edges included."""
+        network = cls.__new__(cls)
+        network._assemble(nodes, positions, edges, data)
+        return network
 
     @classmethod
     def grid(cls, rows, cols, spacing=1.0, *, bidirectional=True):
         """A ``rows x cols`` Manhattan grid with edge length ``spacing``.
 
         Nodes are ``(r, c)`` tuples positioned at ``(c*spacing, r*spacing)``.
+        Each node's out-edges and in-edges are ordered by the other
+        end's node order, as networkx orders a graph built by adding the
+        nodes row by row and then, node by node, the edges to the right
+        and down (and back, when two-way).
         """
         if rows < 2 or cols < 2:
             raise ValueError("grid needs at least 2 rows and 2 columns")
-        graph = nx.DiGraph()
-        for r in range(rows):
-            for c in range(cols):
-                graph.add_node((r, c), pos=(c * spacing, r * spacing))
-        for r in range(rows):
-            for c in range(cols):
-                for dr, dc in ((0, 1), (1, 0)):
-                    rr, cc = r + dr, c + dc
-                    if rr < rows and cc < cols:
-                        graph.add_edge((r, c), (rr, cc), length=spacing)
-                        if bidirectional:
-                            graph.add_edge((rr, cc), (r, c), length=spacing)
-        return cls(graph)
+        nodes = [(r, c) for r in range(rows) for c in range(cols)]
+        steps = ((-1, 0), (0, -1), (0, 1), (1, 0)) if bidirectional \
+            else ((0, 1), (1, 0))
+        edges = [((r, c), (r + dr, c + dc)) for r, c in nodes
+                 for dr, dc in steps
+                 if 0 <= r + dr < rows and 0 <= c + dc < cols]
+        return cls._from_edges(
+            nodes, [(c * spacing, r * spacing) for r, c in nodes], edges,
+            [{"length": spacing} for _ in edges])
 
     @classmethod
     def random_geometric(cls, n_nodes, radius, rng=None, *, size=10.0):
         """Random geometric graph on ``[0, size]^2`` with connect radius.
 
         Keeps only the largest strongly connected component so every pair
-        of retained nodes is mutually reachable.
+        of retained nodes is mutually reachable.  Nodes, edges and their
+        order are those of networkx's
+        ``graph.subgraph(largest).copy()``.
         """
         if n_nodes < 2:
             raise ValueError("need at least two nodes")
         rng = ensure_rng(rng)
         coords = rng.uniform(0.0, size, size=(n_nodes, 2))
-        graph = nx.DiGraph()
-        for i, (x, y) in enumerate(coords):
-            graph.add_node(i, pos=(float(x), float(y)))
+        # Node i's neighbours in ascending order: the successor order
+        # of adding (i, j) and (j, i) for every close pair i < j.
+        succ = [[] for _ in range(n_nodes)]
+        lengths = {}
         for i in range(n_nodes):
             for j in range(i + 1, n_nodes):
                 distance = float(np.linalg.norm(coords[i] - coords[j]))
                 if distance <= radius and distance > 0:
-                    graph.add_edge(i, j, length=distance)
-                    graph.add_edge(j, i, length=distance)
-        components = list(nx.strongly_connected_components(graph))
-        if not components:
-            raise ValueError("generated graph has no edges; increase radius")
-        largest = max(components, key=len)
+                    lengths[i, j] = lengths[j, i] = distance
+                    succ[i].append(j)
+                    succ[j].append(i)
+        largest = max(_strongly_connected_components(succ), key=len)
         if len(largest) < 2:
             raise ValueError("generated graph is too sparse; increase radius")
-        return cls(graph.subgraph(largest).copy())
+        # networkx's subgraph re-adds the component to a new set, and
+        # its copy walks that set, not the node order, when the
+        # component is under half the graph.
+        kept = set()
+        for node in largest:
+            kept.add(node)
+        if 2 * len(kept) < n_nodes:
+            nodes = list(kept)
+        else:
+            nodes = [node for node in range(n_nodes) if node in kept]
+        # The copy adds edges in edge order, so in-edges follow it too.
+        edges = [(u, v) for u in nodes for v in succ[u] if v in kept]
+        return cls._from_edges(
+            nodes, [(float(x), float(y)) for x, y in coords[nodes]], edges,
+            [{"length": lengths[edge]} for edge in edges])
 
     # -- protocol -----------------------------------------------------------
 
@@ -599,108 +719,134 @@ class RoadNetwork:
 
     @property
     def graph(self):
-        """The underlying :class:`networkx.DiGraph` (shared, not copied)."""
-        return self._graph
+        """A frozen :class:`networkx.DiGraph` export of the network.
+
+        Built on first use (the only place networkx is imported) and
+        again after :meth:`set_edge_attribute`.  It has the network's
+        nodes, edges, attributes and their order, including each node's
+        predecessor order; its attribute dicts are copies, and adding
+        or removing nodes or edges raises.
+        """
+        return _memoized(self._snapshot, "graph", sum(self._edits.values()),
+                         self._cache_lock, self._export)
+
+    def _export(self):
+        import networkx as nx
+
+        graph = nx.DiGraph()
+        graph.add_nodes_from(
+            (node, {"pos": (x, y)})
+            for node, (x, y) in zip(self._nodes, self._xy.tolist()))
+        graph.add_edges_from(
+            (*self._edges[edge], self._data[edge]) for edge in
+            _insertion_order(self._succ, self._pred, len(self._edges)))
+        return nx.freeze(graph)
 
     @property
     def n_nodes(self):
-        return self._graph.number_of_nodes()
+        return len(self._nodes)
 
     @property
     def n_edges(self):
-        return self._graph.number_of_edges()
+        return len(self._edges)
 
     def nodes(self):
-        return list(self._graph.nodes())
+        return list(self._nodes)
 
     def edges(self):
         """All edges as ``(u, v)`` tuples."""
-        return list(self._graph.edges())
+        return list(self._edges)
 
     def position(self, node):
         """The ``(x, y)`` coordinates of ``node``."""
-        return tuple(self._graph.nodes[node]["pos"])
+        return tuple(self._xy[self._index[node]].tolist())
+
+    def _edge_id(self, u, v):
+        try:
+            return self._edge_index[u, v]
+        except KeyError:
+            raise KeyError(f"no edge ({u!r}, {v!r})") from None
 
     def edge_length(self, u, v):
-        return float(self._graph.edges[u, v]["length"])
+        return float(self._data[self._edge_id(u, v)]["length"])
 
     def has_edge(self, u, v):
-        return self._graph.has_edge(u, v)
+        return (u, v) in self._edge_index
 
     def successors(self, node):
-        if node not in self._graph:
-            raise KeyError(f"node {node!r} is not in the network")
-        return list(self._graph.successors(node))
+        _check_nodes(self._index, node)
+        return [successor for successor, _ in self._out_edges(node)]
 
     def set_edge_attribute(self, u, v, key, value):
         """Attach governance data (weights, distributions) to an edge.
 
-        Snapshots that read ``key`` (Dijkstra adjacency weighted by it,
-        or the geometry index for ``"length"``) rebuild on next use.
+        Snapshots that read ``key`` (costs and adjacency weighted by it,
+        the geometry index for ``"length"``, the :attr:`graph` export)
+        rebuild on next use.
         """
-        if not self._graph.has_edge(u, v):
-            raise KeyError(f"no edge ({u!r}, {v!r})")
-        self._graph.edges[u, v][key] = value
+        self._data[self._edge_id(u, v)][key] = value
         with self._cache_lock:
             self._edits[key] = self._edits.get(key, 0) + 1
 
     def edge_attribute(self, u, v, key, default=None):
-        if not self._graph.has_edge(u, v):
-            raise KeyError(f"no edge ({u!r}, {v!r})")
-        return self._graph.edges[u, v].get(key, default)
+        return self._data[self._edge_id(u, v)].get(key, default)
 
-    # -- geometry ------------------------------------------------------------
+    def _out_edges(self, node):
+        """``[(successor, attribute dict)]`` of ``node``'s out-edges in
+        successor order; the dicts are the network's own, to be read
+        only.  An unknown node raises :class:`KeyError`."""
+        return [(self._edges[edge][1], self._data[edge])
+                for edge in self._succ[self._index[node]]]
+
+    # -- snapshots -----------------------------------------------------------
 
     def _revision(self, attribute):
-        """Cheap ``(n_nodes, n_edges, edits)`` key of snapshots that read
-        edge ``attribute``: the graph shape and how many times
-        :meth:`set_edge_attribute` set ``attribute``.
-
-        Uses the successor dicts directly: ``number_of_edges()`` walks a
-        degree view and is too slow to run per geometric query.
-        """
-        edits = self._edits.get(attribute, 0)
-        succ = getattr(self._graph, "_succ", None)
-        if succ is None:  # non-standard graph implementation
-            return (self._graph.number_of_nodes(),
-                    self._graph.number_of_edges(), edits)
-        return len(succ), sum(map(len, succ.values())), edits
+        """How many times :meth:`set_edge_attribute` set edge
+        ``attribute``: the stamp of every snapshot that reads it."""
+        return self._edits.get(attribute, 0)
 
     def _geometry(self):
-        """The network's snapshot (:class:`_GeometryIndex`), lazily built.
+        """The network's spatial snapshot (:class:`_GeometryIndex`),
+        lazily built and rebuilt after a ``"length"`` edit."""
+        return _memoized(self._snapshot, "geometry", self._revision("length"),
+                         self._cache_lock, _GeometryIndex, self,
+                         self._cache_lock)
 
-        The snapshot caches node/edge coordinates and lengths as numpy
-        arrays, a uniform grid and the per-weight integer adjacency,
-        keyed on ``(n_nodes, n_edges)`` and the ``"length"`` edits:
-        adding or removing nodes/edges, or setting a length through
-        :meth:`set_edge_attribute`, rebuilds it automatically.  In-place
-        *coordinate* mutation of an existing node is not detectable this
-        way — call :meth:`invalidate_geometry` after moving nodes.
-        """
-        return _memoized(self._snapshot, "geometry",
-                         self._revision("length"), self._cache_lock,
-                         _GeometryIndex, self._graph, self._cache_lock)
+    def _costs(self, weight):
+        """Per-edge ``weight`` values in edge order, read as networkx
+        reads them: ``1`` where the attribute is missing, ``None``
+        (skip the edge) where it is ``None``."""
+        return _memoized(self._snapshot, ("costs", weight),
+                         self._revision(weight), self._cache_lock,
+                         lambda: [data.get(weight, 1) for data in self._data])
+
+    def _adjacency(self, weight, *, reverse=False):
+        """Integer adjacency by ``weight``: row ``i`` lists
+        ``(float cost, successor index)`` in node ``i``'s successor
+        order, leaving out ``None`` costs; with ``reverse``,
+        ``(cost, predecessor index)`` in its predecessor order.  One
+        slot per (weight, direction), rebuilt after a re-weighting."""
+        return _memoized(self._snapshot, ("adjacency", weight, reverse),
+                         self._revision(weight), self._cache_lock,
+                         self._build_adjacency, weight, reverse)
+
+    def _build_adjacency(self, weight, reverse):
+        costs = self._costs(weight)
+        ends, rows = (self._tails, self._pred) if reverse else \
+            (self._heads, self._succ)
+        return [[(float(costs[edge]), ends[edge]) for edge in row
+                 if costs[edge] is not None] for row in rows]
 
     def node_index(self):
         """``(index_of, nodes)`` for array-based queries.
 
         ``index_of[node]`` is the row of ``node`` in any array returned
         by :meth:`dijkstra_array`; ``nodes[i]`` inverts the mapping.
-        Stable for a given graph revision.
+        Fixed for the network's lifetime.
         """
-        geometry = self._geometry()
-        return geometry.index_of, geometry.node_list
+        return self._index, self._nodes
 
-    def invalidate_geometry(self):
-        """Drop the cached spatial index (after in-place ``pos`` edits).
-
-        Safe against in-flight readers: the snapshot holders are
-        *replaced* (never mutated), so a query that already picked up
-        the old snapshot finishes on a consistent — if momentarily
-        stale — view, and the next query rebuilds fresh.
-        """
-        with self._cache_lock:
-            self._snapshot = {}
+    # -- geometry ------------------------------------------------------------
 
     def edge_endpoints(self, u, v):
         """Coordinates of both endpoints as two ``(x, y)`` tuples."""
@@ -758,47 +904,71 @@ class RoadNetwork:
         index = self._geometry().nearest_node_index(point)
         if index is None:
             return None
-        return self._geometry().node_list[index]
+        return self._nodes[index]
+
 
     # -- paths ----------------------------------------------------------------
 
+    def _dijkstra_path(self, source, target, costs):
+        """``(length, path)`` of networkx's ``dijkstra_path`` by per-edge
+        ``costs`` (edge order; ``None`` skips an edge), or ``None`` when
+        ``target`` is unreachable.  An unknown node raises
+        :class:`KeyError`."""
+        _check_nodes(self._index, source, target)
+        if source == target:
+            return 0, [source]
+        found = _dijkstra(self._succ, self._heads, costs,
+                          self._index[source], self._index[target])
+        if found is None:
+            return None
+        return found[0], [self._nodes[i] for i in found[1]]
+
+    def _shortest(self, source, target, costs):
+        """The node path of :meth:`_dijkstra_path`; no path raises
+        :class:`ValueError` with networkx's message."""
+        found = self._dijkstra_path(source, target, costs)
+        if found is None:
+            raise ValueError(f"No path to {target}.")
+        return found[1]
+
     def shortest_path(self, source, target, weight="length"):
-        """Dijkstra shortest path as a node list."""
-        with _typed_path_errors(self._graph, source, target):
-            return nx.dijkstra_path(self._graph, source, target,
-                                    weight=weight)
+        """Dijkstra shortest path as a node list.
+
+        A port of networkx 3.6's ``dijkstra_path``, so ties resolve as
+        in networkx.  An edge without ``weight`` weighs 1 and one whose
+        value is ``None`` is skipped.  An unknown node raises
+        :class:`KeyError`, no path :class:`ValueError`.
+        """
+        return self._shortest(source, target, self._costs(weight))
 
     def shortest_path_length(self, source, target, weight="length"):
-        with _typed_path_errors(self._graph, source, target):
-            return nx.dijkstra_path_length(self._graph, source, target,
-                                           weight=weight)
+        """The length of :meth:`shortest_path`, summed as networkx's
+        ``dijkstra_path_length`` sums it."""
+        found = self._dijkstra_path(source, target, self._costs(weight))
+        if found is None:
+            raise ValueError(f"Node {target} not reachable from {source}")
+        return found[0]
 
     def k_shortest_paths(self, source, target, k, weight="length"):
         """The ``k`` shortest simple paths from ``source`` to ``target``.
 
-        Yen's algorithm over the snapshot's integer adjacency, ported
+        Yen's algorithm over the network's integer adjacency, ported
         from networkx 3.6's ``shortest_simple_paths`` so that it returns
         the same paths in the same order, ties included.  ``weight``
         names an edge attribute; an edge without it weighs 1 and one
         whose value is ``None`` is skipped.  Fewer than ``k`` paths come
         back when fewer exist.  An unknown node raises
         :class:`KeyError`, no path :class:`ValueError`.
-
-        Like :meth:`dijkstra_array`, it sees ``weight`` changes made
-        through :meth:`set_edge_attribute`, not direct ``graph`` edits.
         """
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
-        _check_nodes(self._graph, source, target)
-        geometry = self._geometry()
-        edits = self._edits.get(weight, 0)
-        index_of, nodes = geometry.index_of, geometry.node_list
-        adjacency = (geometry.adjacency(weight, edits),
-                     geometry.adjacency(weight, edits, reverse=True))
-        paths = _yen(adjacency, index_of[source], index_of[target], k)
+        _check_nodes(self._index, source, target)
+        adjacency = (self._adjacency(weight),
+                     self._adjacency(weight, reverse=True))
+        paths = _yen(adjacency, self._index[source], self._index[target], k)
         if not paths:
             raise ValueError(f"No path between {source} and {target}.")
-        return [[nodes[i] for i in path] for path in paths]
+        return [[self._nodes[i] for i in path] for path in paths]
 
     def path_edges(self, path):
         """Convert a node path into its ``(u, v)`` edge list."""
@@ -806,15 +976,14 @@ class RoadNetwork:
             raise ValueError("a path needs at least two nodes")
         edge_list = list(zip(path, path[1:]))
         for u, v in edge_list:
-            if not self._graph.has_edge(u, v):
+            if (u, v) not in self._edge_index:
                 raise ValueError(f"path uses missing edge ({u!r}, {v!r})")
         return edge_list
 
     def path_length(self, path, weight="length"):
         """Total weight along a node path."""
-        return float(
-            sum(self._graph.edges[u, v][weight] for u, v in self.path_edges(path))
-        )
+        return float(sum(self._data[self._edge_index[edge]][weight]
+                         for edge in self.path_edges(path)))
 
     def route_distance(self, path_a, path_b):
         """Dissimilarity of two node paths: 1 - Jaccard of their edge sets.
@@ -841,7 +1010,7 @@ class RoadNetwork:
         """
         row = self.dijkstra_array(source, weight, cutoff=cutoff)
         reached = np.flatnonzero(np.isfinite(row))
-        nodes = self._geometry().node_list
+        nodes = self._nodes
         return {nodes[i]: distance for i, distance in
                 zip(reached.tolist(), row[reached].tolist())}
 
@@ -851,14 +1020,13 @@ class RoadNetwork:
         Row order follows :meth:`node_index`; unreachable nodes (or
         nodes beyond ``cutoff``) hold ``inf``, and an unknown
         ``source`` raises :class:`KeyError`.  Running over the
-        snapshot's integer adjacency and returning an array makes this
+        network's integer adjacency and returning an array makes this
         the fast distance source for the vectorized map matcher, which
         gathers whole candidate columns at once.
         """
-        geometry = self._geometry()
-        adjacency = geometry.adjacency(weight, self._edits.get(weight, 0))
+        adjacency = self._adjacency(weight)
         distances = [math.inf] * len(adjacency)
-        source_index = geometry.index_of[source]
+        source_index = self._index[source]
         distances[source_index] = 0.0
         heap = [(0.0, source_index)]
         push, pop = heapq.heappush, heapq.heappop

@@ -26,7 +26,6 @@ cover every road, and are combined into a routing cost::
 
 from __future__ import annotations
 
-import networkx as nx
 import numpy as np
 
 from .._validation import check_non_negative
@@ -135,12 +134,12 @@ class ImitationRouter:
         return length * penalty / bonus
 
     def route(self, origin, destination):
-        """The expert-mimicking route."""
+        """The expert-mimicking route: the shortest path by
+        :meth:`routing_cost`.  An unknown node raises :class:`KeyError`,
+        no path :class:`ValueError`."""
         self._check_fitted()
-        return nx.dijkstra_path(
-            self.network.graph, origin, destination,
-            weight=lambda u, v, data: self.routing_cost(u, v),
-        )
+        costs = [self.routing_cost(u, v) for u, v in self.network.edges()]
+        return self.network._shortest(origin, destination, costs)
 
     def imitation_score(self, expert_paths):
         """Mean route similarity (1 - Jaccard distance) against the

@@ -175,7 +175,7 @@ class SkylineRouter:
         """``[(successor, edge cost tuple)]`` of ``node``, in successor
         order; a missing objective is a :class:`KeyError`."""
         rows = []
-        for successor, data in self.network.graph.succ[node].items():
+        for successor, data in self.network._out_edges(node):
             for name in self.objectives:
                 if name not in data:
                     raise KeyError(f"edge ({node!r}, {successor!r}) has "
@@ -201,9 +201,9 @@ class SkylineRouter:
         """
         if origin == destination:
             raise ValueError("origin and destination must differ")
-        graph = self.network.graph
+        index_of, _ = self.network.node_index()
         for node in (origin, destination):
-            if node not in graph:
+            if node not in index_of:
                 raise KeyError(f"node {node!r} is not in the network")
         labels = {origin: [((0.0,) * len(self.objectives), (origin,))]}
         admitted = {origin: {(origin,)}}  # every path a set ever held

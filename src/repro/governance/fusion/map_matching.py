@@ -140,9 +140,9 @@ class HmmMapMatcher:
     def _sync_revision(self):
         """Drop cached distance rows if a ``length`` edit made them stale.
 
-        The LRU rows are keyed on the network's ``length`` revision (its
-        shape and how often lengths were set): checked once per trace,
-        since mutation is quiesced against queries.
+        The LRU rows are keyed on the network's ``length`` revision (how
+        often lengths were set): checked once per trace, since mutation
+        is quiesced against queries.
         """
         self._distances.sync(self.network._revision("length"))
 

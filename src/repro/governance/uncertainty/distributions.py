@@ -247,9 +247,13 @@ class Histogram:
         return Histogram(a.start + b.start, width, probabilities)
 
     def shift(self, offset):
-        """The distribution of ``X + offset``."""
-        return Histogram(self.start + float(offset), self.width,
-                         self.probabilities)
+        """The distribution of ``X + offset``: the same probability
+        vector, bit for bit, moved by a finite ``offset``."""
+        offset = float(offset)
+        if not math.isfinite(offset):
+            raise ValueError(f"offset must be finite, got {offset!r}")
+        return Histogram._trusted(self.start + offset, self.width,
+                                  self.probabilities)
 
     @staticmethod
     def mixture(components, weights):

@@ -24,7 +24,14 @@ scans behind ``RoadNetwork.candidate_edges`` and ``nearest_node``;
 ``reduce_reference`` are the pairwise W1 matrix and the pure-Python
 forward selection behind ``wasserstein_matrix`` and
 ``reduce_scenarios``.  ``k_shortest_reference`` is networkx's Yen,
-which ``RoadNetwork.k_shortest_paths`` ports.  ``check_trips_reference``
+which ``RoadNetwork.k_shortest_paths`` ports; ``shortest_path_reference``,
+``shortest_path_length_reference``, ``plan_route_reference`` and
+``imitation_route_reference`` are networkx's Dijkstra behind
+``shortest_path``, ``shortest_path_length``,
+``TrajectoryGenerator.plan_route`` and ``ImitationRouter.route``, and
+``grid_reference`` and ``random_geometric_reference`` the networkx
+graphs the network's generators built; ``graph_layout`` lists what of
+a graph's order they must reproduce.  ``check_trips_reference``
 is the trip-by-trip check the travel-time fits ran before grouping.
 
 ``PointTrajectory`` is the list-of-``GpsPoint`` trajectory that the
@@ -396,19 +403,115 @@ def reduce_reference(distance, probabilities, k):
     return selected
 
 
-def k_shortest_reference(network, source, target, k, weight="length"):
-    """``nx.shortest_simple_paths`` cut after ``k`` paths, on the
-    network's graph, with networkx's errors in the repo's types:
-    :class:`KeyError` for an unknown node, :class:`ValueError` (same
-    message) for no path."""
+def _typed_search(network, source, target, search):
+    """``search()`` with networkx's errors in the repo's types:
+    :class:`KeyError` for a ``source`` or ``target`` not in the
+    network's graph, :class:`ValueError` (same message) for no path."""
     for node in (source, target):
         if node not in network.graph:
             raise KeyError(f"node {node!r} is not in the network")
     try:
-        return list(itertools.islice(nx.shortest_simple_paths(
-            network.graph, source, target, weight=weight), k))
+        return search()
     except nx.NetworkXNoPath as error:
         raise ValueError(str(error)) from error
+
+
+def k_shortest_reference(network, source, target, k, weight="length"):
+    """``nx.shortest_simple_paths`` cut after ``k`` paths, on the
+    network's graph, with typed errors."""
+    return _typed_search(network, source, target, lambda: list(
+        itertools.islice(nx.shortest_simple_paths(
+            network.graph, source, target, weight=weight), k)))
+
+
+def shortest_path_reference(network, source, target, weight="length"):
+    """``nx.dijkstra_path`` on the network's graph, with typed errors."""
+    return _typed_search(network, source, target, lambda: nx.dijkstra_path(
+        network.graph, source, target, weight=weight))
+
+
+def shortest_path_length_reference(network, source, target,
+                                   weight="length"):
+    """``nx.dijkstra_path_length`` on the network's graph, with typed
+    errors."""
+    return _typed_search(
+        network, source, target, lambda: nx.dijkstra_path_length(
+            network.graph, source, target, weight=weight))
+
+
+def plan_route_reference(generator, origin, destination, *, perturb=True):
+    """``TrajectoryGenerator.plan_route`` on networkx: a cost per edge,
+    drawn in edge order, and ``nx.dijkstra_path`` with a weight
+    function reading them; typed errors."""
+    network = generator.network
+    weights = {}
+    for u, v in network.edges():
+        cost = network.edge_length(u, v)
+        if perturb and generator.preference_noise > 0:
+            cost *= float(np.exp(generator._rng.normal(
+                0.0, generator.preference_noise)))
+        weights[(u, v)] = cost
+    return _typed_search(network, origin, destination, lambda: (
+        nx.dijkstra_path(network.graph, origin, destination,
+                         weight=lambda u, v, data: weights[(u, v)])))
+
+
+def imitation_route_reference(router, origin, destination):
+    """``ImitationRouter.route`` on networkx: ``nx.dijkstra_path``
+    weighted by ``routing_cost``, with typed errors."""
+    network = router.network
+    return _typed_search(network, origin, destination, lambda: (
+        nx.dijkstra_path(network.graph, origin, destination,
+                         weight=lambda u, v, data: router.routing_cost(
+                             u, v))))
+
+
+def grid_reference(rows, cols, spacing=1.0, *, bidirectional=True):
+    """The ``nx.DiGraph`` that ``RoadNetwork.grid`` built on networkx."""
+    graph = nx.DiGraph()
+    for r in range(rows):
+        for c in range(cols):
+            graph.add_node((r, c), pos=(c * spacing, r * spacing))
+    for r in range(rows):
+        for c in range(cols):
+            for dr, dc in ((0, 1), (1, 0)):
+                rr, cc = r + dr, c + dc
+                if rr < rows and cc < cols:
+                    graph.add_edge((r, c), (rr, cc), length=spacing)
+                    if bidirectional:
+                        graph.add_edge((rr, cc), (r, c), length=spacing)
+    return graph
+
+
+def random_geometric_reference(n_nodes, radius, rng=None, *, size=10.0):
+    """The ``nx.DiGraph`` that ``RoadNetwork.random_geometric`` built on
+    networkx: the largest of ``nx.strongly_connected_components``, as
+    ``graph.subgraph(largest).copy()``."""
+    if n_nodes < 2:
+        raise ValueError("need at least two nodes")
+    rng = ensure_rng(rng)
+    coords = rng.uniform(0.0, size, size=(n_nodes, 2))
+    graph = nx.DiGraph()
+    for i, (x, y) in enumerate(coords):
+        graph.add_node(i, pos=(float(x), float(y)))
+    for i in range(n_nodes):
+        for j in range(i + 1, n_nodes):
+            distance = float(np.linalg.norm(coords[i] - coords[j]))
+            if distance <= radius and distance > 0:
+                graph.add_edge(i, j, length=distance)
+                graph.add_edge(j, i, length=distance)
+    largest = max(nx.strongly_connected_components(graph), key=len)
+    if len(largest) < 2:
+        raise ValueError("generated graph is too sparse; increase radius")
+    return graph.subgraph(largest).copy()
+
+
+def graph_layout(graph):
+    """Everything order-sensitive about a directed graph: nodes with
+    their data, edges with their data, and every node's predecessors,
+    each in iteration order."""
+    return (list(graph.nodes(data=True)), list(graph.edges(data=True)),
+            [list(graph.pred[node]) for node in graph])
 
 
 def check_trips_reference(trips):

@@ -350,9 +350,9 @@ class TestSkylineSearch:
             router.skyline((0, 0), (9, 9))
 
     def test_edge_without_an_objective_raises_key_error(self):
-        network = uniform_grid(2, 2, seed=0)
-        network.graph.edges[(0, 1), (1, 1)].pop("b")
-        router = SkylineRouter(network, ["a", "b"])
+        graph = uniform_grid(2, 2, seed=0).graph.copy()
+        graph.edges[(0, 1), (1, 1)].pop("b")
+        router = SkylineRouter(RoadNetwork(graph), ["a", "b"])
         with pytest.raises(KeyError,
                            match=r"\(\(0, 1\), \(1, 1\)\).*'b'"):
             router.skyline((0, 0), (1, 1))

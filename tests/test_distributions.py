@@ -9,7 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro._validation import trapezoid
-from repro.governance.uncertainty import GaussianMixture, Histogram
+from repro.decision import dominance_prune
+from repro.governance.uncertainty import (
+    GaussianMixture,
+    Histogram,
+    wasserstein_distance,
+)
 
 
 class TestHistogramConstruction:
@@ -181,6 +186,25 @@ class TestHistogramAlgebra:
     def test_shift(self):
         a = Histogram(0.0, 1.0, [0.25, 0.75])
         assert a.shift(5.0).mean() == pytest.approx(a.mean() + 5.0)
+
+    @pytest.mark.parametrize("offset", [np.nan, np.inf, -np.inf])
+    def test_shift_rejects_a_non_finite_offset(self, offset):
+        with pytest.raises(ValueError, match="finite"):
+            Histogram(0.0, 1.0, [0.25, 0.75]).shift(offset)
+
+    @settings(deadline=None, max_examples=100, derandomize=True)
+    @given(masses=st.lists(st.floats(0.0, 1e3), min_size=1, max_size=40)
+           .filter(lambda masses: sum(masses) > 0),
+           start=st.floats(-50.0, 50.0),
+           width=st.floats(0.01, 5.0))
+    def test_zero_shift_keeps_the_probability_bits(self, masses, start,
+                                                   width):
+        histogram = Histogram(start, width, masses)
+        shifted = histogram.shift(0.0)
+        assert shifted.probabilities.tobytes() == \
+            histogram.probabilities.tobytes()
+        assert dominance_prune([histogram, shifted], tol=0) == [0, 1]
+        assert wasserstein_distance(histogram, shifted) == 0.0
 
     def test_rebin_preserves_mass_and_mean(self):
         rng = np.random.default_rng(3)

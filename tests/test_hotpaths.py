@@ -81,18 +81,22 @@ class TestSpatialIndex:
     def test_index_rebuilds_after_mutation(self):
         network = RoadNetwork.grid(3, 3)
         assert network.candidate_edges((0.5, 0.0), 0.2)
-        network.graph.add_node("new", pos=(10.0, 10.0))
-        network.graph.add_edge((2, 2), "new", length=1.0)
-        # The new far-away edge is only findable if the index rebuilt.
+        graph = network.graph.copy()
+        graph.add_node("new", pos=(10.0, 10.0))
+        graph.add_edge((2, 2), "new", length=1.0)
+        network = RoadNetwork(graph)
+        # The new far-away edge is only findable in the edited
+        # network's own index.
         found = network.candidate_edges((9.0, 9.0), 3.0)
         assert any("new" in (u, v) for u, v, _, _ in found)
         assert network.nearest_node((10.2, 10.2)) == "new"
 
-    def test_invalidate_geometry_after_moving_a_node(self):
+    def test_index_of_a_network_with_a_moved_node(self):
         network = RoadNetwork.grid(3, 3)
         network.nearest_node((0.0, 0.0))  # build the index
-        network.graph.nodes[(0, 0)]["pos"] = (-5.0, -5.0)
-        network.invalidate_geometry()
+        graph = network.graph.copy()
+        graph.nodes[(0, 0)]["pos"] = (-5.0, -5.0)
+        network = RoadNetwork(graph)
         assert network.nearest_node((-4.8, -4.9)) == (0, 0)
 
     def test_bounded_dijkstra_exact_within_cutoff(self, networks):

@@ -1,6 +1,6 @@
 """The network's one snapshot and its one Dijkstra against networkx.
 
-``dijkstra_array`` runs over the snapshot's integer adjacency and
+``dijkstra_array`` runs over the network's integer adjacency and
 ``dijkstra_all`` is the finite part of its row, so both must equal
 networkx's ``single_source_dijkstra_path_length`` bit for bit, with
 and without a cutoff, on generated graphs: grids, one-way grids,
@@ -100,14 +100,16 @@ class TestOneDijkstra:
         network.set_edge_attribute((0, 0), (0, 1), "time", 3.0)
         network.dijkstra_array((0, 0), "time")
         assert network._geometry() is geometry
-        assert set(geometry._adjacency) == {"time"}
-        assert geometry._adjacency["time"][0] == \
+        slot = ("adjacency", "time", False)
+        assert set(network._snapshot) == {"geometry", ("costs", "time"),
+                                          slot}
+        assert network._snapshot[slot][0] == \
             network._edits["time"] == network.n_edges + 1
         # An edit to another attribute leaves the "time" slot alone.
-        adjacency = geometry._adjacency["time"][1]
+        adjacency = network._snapshot[slot][1]
         network.set_edge_attribute((0, 0), (0, 1), "energy", 1.0)
         network.dijkstra_array((0, 0), "time")
-        assert geometry._adjacency["time"][1] is adjacency
+        assert network._snapshot[slot][1] is adjacency
 
     def test_unknown_source_raises_key_error(self):
         network = RoadNetwork.grid(2, 2)

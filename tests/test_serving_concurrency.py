@@ -173,8 +173,9 @@ class TestNetworkConcurrency:
 
         hammer(N_THREADS, work)
 
-    def test_invalidate_geometry_during_queries(self):
-        """Readers racing invalidate_geometry() always see a
+    def test_snapshot_rebuilds_during_queries(self):
+        """Readers racing rebuilds of the ``length``-stamped
+        snapshots (a length set to its own value) always see a
         consistent snapshot (the geometry itself never changes)."""
         shared = fresh_network()
         reference = fresh_network()
@@ -182,10 +183,12 @@ class TestNetworkConcurrency:
         want = reference.candidate_edges(point, radius)
         want_row = reference.dijkstra_array((0, 0))
         stop = threading.Event()
+        u, v = shared.edges()[0]
+        length = shared.edge_length(u, v)
 
         def invalidator():
             while not stop.is_set():
-                shared.invalidate_geometry()
+                shared.set_edge_attribute(u, v, "length", length)
 
         storm = threading.Thread(target=invalidator, daemon=True)
         storm.start()
