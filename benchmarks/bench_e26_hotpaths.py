@@ -6,8 +6,10 @@ is served by index-backed, vectorized kernels that return *identical*
 results to the brute-force implementations they replaced, at a large
 speedup:
 
-* ``candidate_edges`` / ``nearest_node`` via the uniform-grid spatial
-  index versus the O(E)/O(V) linear scans;
+* ``candidate_edges`` via the uniform-grid spatial index versus the
+  O(E) linear scan; ``nearest_node`` is itself a vectorized O(V) scan,
+  not grid-indexed, so only its equivalence to the brute-force scan
+  is asserted;
 * batched vectorized Viterbi with bounded, LRU-cached Dijkstra versus
   the per-pair pure-Python loop with exhaustive searches;
 * the matrix ``dominance_prune`` kernel versus k² independent pairwise

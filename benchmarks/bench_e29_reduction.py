@@ -266,9 +266,8 @@ def bench_select_best(ensemble):
         "max_value_regret": float(max(regrets)),
         "winners_matched": int(winners_match),
         "distortion": float(reduction.distortion),
-        "full_latency": summarize_latencies(full_latencies).to_dict(),
-        "reduced_latency":
-            summarize_latencies(reduced_latencies).to_dict(),
+        "full_latency": summarize_latencies(full_latencies),
+        "reduced_latency": summarize_latencies(reduced_latencies),
     }
 
 

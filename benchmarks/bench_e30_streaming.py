@@ -259,8 +259,8 @@ def bench_throughput():
         "stages_replayed": stages.value(disposition="replayed"),
         "stages_incremental": stages.value(disposition="incremental"),
         "stages_executed": stages.value(disposition="executed"),
-        "tick_latency": summarize_latencies(tick_latencies).to_dict(),
-        "naive_latency": summarize_latencies(naive_latencies).to_dict(),
+        "tick_latency": summarize_latencies(tick_latencies),
+        "naive_latency": summarize_latencies(naive_latencies),
     }
 
 

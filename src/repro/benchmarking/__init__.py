@@ -3,11 +3,10 @@ plus the shared latency-summary harness used by serving benchmarks."""
 
 from .detection import DetectionLeaderboard
 from .harness import ForecastingLeaderboard
-from .latency import LatencySummary, summarize_latencies
+from .latency import summarize_latencies
 
 __all__ = [
     "DetectionLeaderboard",
     "ForecastingLeaderboard",
-    "LatencySummary",
     "summarize_latencies",
 ]

@@ -4,7 +4,7 @@ Data-Governance-Analytics-Decision pipeline with bounded execution
 (timeouts, deadlines, cancellation) and structured observability."""
 
 from .cache import StageCache
-from .events import CollectingTracer, PrintTracer, StageEvent, Tracer
+from .events import CollectingTracer, StageEvent, Tracer
 from .executors import (
     Executor,
     ExecutorError,
@@ -35,7 +35,6 @@ __all__ = [
     "ExecutorError",
     "FaultInjector",
     "IncrementalSession",
-    "PrintTracer",
     "ProcessExecutor",
     "RemoteStageError",
     "RunDeadlineExceeded",

@@ -28,10 +28,9 @@ terminal event carries ``seconds`` — terminal minus start, the
 stage's duration everywhere.  Run and tick events bracket run and
 tick durations the same way.
 
-Two tracers ship with the library: :class:`CollectingTracer` buffers
-events for inspection (tests, dashboards; explicitly thread-safe —
-its buffer and accessors are lock-protected) and :class:`PrintTracer`
-streams one line per event (live debugging).
+:class:`CollectingTracer` buffers events for inspection (tests,
+dashboards; explicitly thread-safe — its buffer and accessors are
+lock-protected).
 :class:`repro.observability.SpanTracer` folds the stream into a span
 tree.  A tracer that additionally exposes an
 ``inject(stage_name, attempt)`` method is a *tracer-hook*: the
@@ -51,7 +50,6 @@ __all__ = [
     "StageEvent",
     "Tracer",
     "CollectingTracer",
-    "PrintTracer",
     "emit",
 ]
 
@@ -188,21 +186,6 @@ class CollectingTracer(Tracer):
     def of_kind(self, kind):
         with self._lock:
             return [event for event in self.events if event.kind == kind]
-
-
-class PrintTracer(Tracer):
-    """Streams one line per event to ``stream`` (default stdout)."""
-
-    def __init__(self, stream=None):
-        self._stream = stream
-
-    def on_event(self, event):
-        import sys
-
-        stream = self._stream or sys.stdout
-        where = f" {event.layer}/{event.stage}" if event.stage else ""
-        extra = "".join(f" {k}={v}" for k, v in event.data.items())
-        print(f"[{event.kind}]{where}{extra}", file=stream)
 
 
 def emit(tracer, kind, stage=None, layer=None, *, monotonic=None,

@@ -9,9 +9,11 @@ path utilities.
 
 The network holds its graph as plain lists and arrays, in networkx's
 node and edge order, and its searches are ports of networkx 3.6's, so
-they return networkx's paths, ties included, without loading it.
-networkx is imported only to build the :attr:`RoadNetwork.graph`
-export.
+they return networkx's paths and distances, ties included, without
+loading it: one unidirectional Dijkstra serves paths and distance
+rows, and a bidirectional one serves Yen's k shortest paths.  The
+nearest node is one vectorised O(V) scan.  networkx is imported only
+to build the :attr:`RoadNetwork.graph` export.
 
 The paper's systems run on real networks (OpenStreetMap extracts); the
 generators here (:meth:`RoadNetwork.grid`,
@@ -60,22 +62,29 @@ def _check_nodes(index, *nodes):
             raise KeyError(f"node {node!r} is not in the network")
 
 
-def _dijkstra(succ, heads, weights, source, target):
-    """networkx 3.6's ``_dijkstra_multisource`` from ``source`` to
-    ``target`` over integer rows.
+def _dijkstra(succ, heads, weights, source, target=None, cutoff=None):
+    """networkx 3.6's ``_dijkstra_multisource`` from ``source`` over
+    integer rows: the network's one unidirectional search.
 
     ``succ[i]`` lists node ``i``'s out-edges in successor order,
     ``heads[e]`` is edge ``e``'s head and ``weights[e]`` its cost; an
-    edge whose cost is ``None`` is skipped.  Costs are added as given,
-    and the heap orders ``(distance, push count)`` exactly as
-    networkx's does, so ties resolve as in networkx.  Returns
+    edge whose cost is ``None`` is skipped, and so is a relaxation
+    longer than ``cutoff`` (a NaN ``cutoff`` raises
+    :class:`ValueError`).  Costs are added as given, and the heap
+    orders ``(distance, push count)`` exactly as networkx's does, so
+    ties resolve as in networkx.  With ``target``, returns
     ``(distance, path)`` with ``path`` an index list, or ``None`` when
-    ``target`` is unreachable.
+    ``target`` is unreachable; without, the settled list: each node's
+    distance, ``None`` where unreached.
     """
+    if cutoff is None:
+        cutoff = math.inf
+    elif math.isnan(cutoff):
+        raise ValueError("cutoff must not be NaN")
     settled = [None] * len(succ)
     seen = [None] * len(succ)
     seen[source] = 0
-    parent = {}
+    parent = [None] * len(succ)
     fringe = [(0, 0, source)]
     pushes = 1
     push, pop = heapq.heappush, heapq.heappop
@@ -92,6 +101,8 @@ def _dijkstra(succ, heads, weights, source, target):
                 continue
             u = heads[edge]
             length = dist + cost
+            if length > cutoff:
+                continue
             if settled[u] is not None:
                 if length < settled[u]:
                     raise ValueError("Contradictory paths found:",
@@ -101,10 +112,12 @@ def _dijkstra(succ, heads, weights, source, target):
                 push(fringe, (length, pushes, u))
                 pushes += 1
                 parent[u] = v
+    if target is None:
+        return settled
     if settled[target] is None:
         return None
     path = [target]
-    while path[-1] in parent:
+    while parent[path[-1]] is not None:
         path.append(parent[path[-1]])
     path.reverse()
     return settled[target], path
@@ -304,9 +317,9 @@ class _GeometryIndex:
     Built from the network's own arrays once per ``length`` revision
     and shared by every geometric query.  It shares the network's node
     order (``node_list``) and edge order (``edge_list``).  The grid
-    buckets edges by their bounding boxes and nodes by their cells, so
-    ``candidate_edges`` and ``nearest_node`` inspect only nearby cells
-    instead of scanning the whole graph.
+    buckets edges by their bounding boxes, so ``candidate_edges``
+    inspects only nearby cells instead of scanning the whole graph;
+    ``nearest_node`` scans the node positions, O(V).
     """
 
     def __init__(self, network, lock):
@@ -347,15 +360,6 @@ class _GeometryIndex:
         self._edge_hi = self._cell_of(np.maximum(self.a, self.b))
         self._lock = lock
         self._tables = {}
-
-        self._node_cells = {}
-        if len(self.node_list):
-            for index, (cx, cy) in enumerate(self._cell_of(self.node_xy)):
-                self._node_cells.setdefault((cx, cy), []).append(index)
-        self._node_cells = {
-            key: np.asarray(indices, dtype=np.intp)
-            for key, indices in self._node_cells.items()
-        }
 
     def _cell_of(self, points):
         """Cell coordinates of finite ``(..., 2)`` points, clamped into
@@ -483,68 +487,19 @@ class _GeometryIndex:
         return (edges.take(order), distances.take(order),
                 fractions.take(order), counts)
 
-    def _ring_nodes(self, center, ring):
-        """Node indices in the cells at Chebyshev distance ``ring``."""
-        cx, cy = center
-        cells = []
-        if ring == 0:
-            cells.append((cx, cy))
-        else:
-            for dx in range(-ring, ring + 1):
-                cells.append((cx + dx, cy - ring))
-                cells.append((cx + dx, cy + ring))
-            for dy in range(-ring + 1, ring):
-                cells.append((cx - ring, cy + dy))
-                cells.append((cx + ring, cy + dy))
-        buckets = [
-            self._node_cells[cell] for cell in cells
-            if cell in self._node_cells
-        ]
-        if not buckets:
-            return np.empty(0, dtype=np.intp)
-        return np.concatenate(buckets)
-
     def nearest_node_index(self, point):
-        """Index (into ``node_list``) of the node closest to ``point``.
+        """Index (into ``node_list``) of the node closest to ``point``,
+        ``None`` for an empty network.
 
-        Expanding-ring search from the query's cell, clamped into the
-        grid: cells at Chebyshev ring ``k`` from it contain no point
-        closer than ``(k - 1) * cell`` (along a clamped axis the query
-        lies beyond the grid edge, which only adds distance), so the
-        search stops as soon as the best distance found beats that lower
-        bound for every unvisited ring.  The rings end at the farthest
-        populated cell, so a query far off the map walks at most the
-        grid, never the empty space between it and the query.
+        One vectorised O(V) scan: ``argmin`` takes the first minimum,
+        so ties break toward the lowest node index, as the brute-force
+        scan in node order does.
         """
         if not len(self.node_list):
             return None
         px, py = float(point[0]), float(point[1])
-        center = tuple(int(c) for c in self._cell_of((px, py)))
-        # Rings needed to cover every populated cell from the center.
-        max_ring = max(
-            max(abs(cx - center[0]), abs(cy - center[1]))
-            for cx, cy in self._node_cells
-        )
-        best_index, best_distance = None, math.inf
-        for ring in range(max_ring + 1):
-            if best_index is not None and \
-                    (ring - 1) * self.cell > best_distance:
-                break
-            indices = np.sort(self._ring_nodes(center, ring))
-            if not len(indices):
-                continue
-            xy = self.node_xy[indices]
-            distances = np.hypot(px - xy[:, 0], py - xy[:, 1])
-            argmin = int(np.argmin(distances))
-            distance = float(distances[argmin])
-            index = int(indices[argmin])
-            # Ties break toward the lowest node index, matching the
-            # brute-force scan in graph iteration order.
-            if distance < best_distance or (
-                    distance == best_distance and index < best_index):
-                best_distance = distance
-                best_index = index
-        return best_index
+        return int(np.argmin(np.hypot(px - self.node_xy[:, 0],
+                                      py - self.node_xy[:, 1])))
 
 
 class RoadNetwork:
@@ -562,6 +517,11 @@ class RoadNetwork:
     and edges are fixed at construction; :meth:`set_edge_attribute` is
     the one mutator, and it stamps every snapshot that reads the
     attribute it sets.
+
+    Paths (``shortest_path``, ``shortest_path_length``) and distance
+    rows (``dijkstra_array``, ``dijkstra_all``) run the one
+    unidirectional Dijkstra; ``k_shortest_paths`` runs Yen's over the
+    bidirectional one.
 
     **Thread-safety contract:** every *query* method (geometry lookups,
     ``candidate_edges``, ``nearest_node``, Dijkstra variants, path
@@ -687,12 +647,16 @@ class RoadNetwork:
         succ = [[] for _ in range(n_nodes)]
         lengths = {}
         for i in range(n_nodes):
-            for j in range(i + 1, n_nodes):
-                distance = float(np.linalg.norm(coords[i] - coords[j]))
-                if distance <= radius and distance > 0:
-                    lengths[i, j] = lengths[j, i] = distance
-                    succ[i].append(j)
-                    succ[j].append(i)
+            # sqrt(dot(d, d)) per pair: np.linalg.norm's formula, bits
+            # included, one row of O(n) memory at a time.
+            d = coords[i + 1:] - coords[i]
+            distances = np.sqrt((d[:, None, :] @ d[:, :, None]).ravel())
+            close = np.flatnonzero((distances <= radius) & (distances > 0))
+            for j, distance in zip((close + i + 1).tolist(),
+                                   distances[close].tolist()):
+                lengths[i, j] = lengths[j, i] = distance
+                succ[i].append(j)
+                succ[j].append(i)
         largest = max(_strongly_connected_components(succ), key=len)
         if len(largest) < 2:
             raise ValueError("generated graph is too sparse; increase radius")
@@ -821,9 +785,9 @@ class RoadNetwork:
                          lambda: [data.get(weight, 1) for data in self._data])
 
     def _adjacency(self, weight, *, reverse=False):
-        """Integer adjacency by ``weight``: row ``i`` lists
-        ``(float cost, successor index)`` in node ``i``'s successor
-        order, leaving out ``None`` costs; with ``reverse``,
+        """Integer adjacency by ``weight``, for Yen's search: row ``i``
+        lists ``(float cost, successor index)`` in node ``i``'s
+        successor order, leaving out ``None`` costs; with ``reverse``,
         ``(cost, predecessor index)`` in its predecessor order.  One
         slot per (weight, direction), rebuilt after a re-weighting."""
         return _memoized(self._snapshot, ("adjacency", weight, reverse),
@@ -896,7 +860,8 @@ class RoadNetwork:
         ]
 
     def nearest_node(self, point):
-        """The node closest to planar ``point`` (grid-index backed).
+        """The node closest to planar ``point`` (an O(V) scan; ties go
+        to the first node in node order).
 
         Raises :class:`ValueError` for a non-finite ``point``.
         """
@@ -1018,27 +983,16 @@ class RoadNetwork:
         """Single-source distances as a dense float array over nodes.
 
         Row order follows :meth:`node_index`; unreachable nodes (or
-        nodes beyond ``cutoff``) hold ``inf``, and an unknown
-        ``source`` raises :class:`KeyError`.  Running over the
-        network's integer adjacency and returning an array makes this
-        the fast distance source for the vectorized map matcher, which
-        gathers whole candidate columns at once.
+        nodes beyond ``cutoff``) hold ``inf``, an unknown ``source``
+        raises :class:`KeyError` and a NaN ``cutoff``
+        :class:`ValueError`.  The row is the settled list of the
+        shortest-path search, so its distances are networkx's
+        ``single_source_dijkstra_path_length``, bit for bit.  Returning
+        an array makes this the fast distance source for the
+        vectorized map matcher, which gathers whole candidate columns
+        at once.
         """
-        adjacency = self._adjacency(weight)
-        distances = [math.inf] * len(adjacency)
-        source_index = self._index[source]
-        distances[source_index] = 0.0
-        heap = [(0.0, source_index)]
-        push, pop = heapq.heappush, heapq.heappop
-        while heap:
-            d, node = pop(heap)
-            if d > distances[node]:  # stale entry (lazy deletion)
-                continue
-            for edge_weight, succ in adjacency[node]:
-                cost = d + edge_weight
-                if cutoff is not None and cost > cutoff:
-                    continue
-                if cost < distances[succ]:
-                    distances[succ] = cost
-                    push(heap, (cost, succ))
-        return np.asarray(distances, dtype=float)
+        settled = _dijkstra(self._succ, self._heads, self._costs(weight),
+                            self._index[source], cutoff=cutoff)
+        return np.array([math.inf if d is None else d for d in settled],
+                        dtype=float)

@@ -134,8 +134,8 @@ def closed_loop(server, make_query, *, n_clients=8, duration=1.0,
     report.qps = ok / wall if wall > 0 else 0.0
     report.shed_rate = shed / submitted[0] if submitted[0] else 0.0
     summary = summarize_latencies(latencies)
-    report.latency_p50 = summary.p50
-    report.latency_p99 = summary.p99
-    report.latency_mean = summary.mean
-    report.latency_max = summary.max
+    report.latency_p50 = summary["p50"]
+    report.latency_p99 = summary["p99"]
+    report.latency_mean = summary["mean"]
+    report.latency_max = summary["max"]
     return report

@@ -247,21 +247,21 @@ class TestEditKeyedSnapshots:
         network = RoadNetwork.grid(4, 4)
         geometry = network._geometry()
         network.dijkstra_array((0, 0))
-        slot = ("adjacency", "length", False)
-        adjacency = network._snapshot[slot][1]
+        slot = ("costs", "length")
+        costs = network._snapshot[slot][1]
         table = geometry.candidate_table(0.5)
         for u, v in network.edges():
             network.set_edge_attribute(u, v, "time", 2.0)
             network.set_edge_attribute(u, v, "energy", 3.0)
         network.dijkstra_array((0, 0))
         assert network._geometry() is geometry
-        assert network._snapshot[slot][1] is adjacency
+        assert network._snapshot[slot][1] is costs
         assert geometry.candidate_table(0.5) is table
         network.set_edge_attribute((0, 0), (0, 1), "length", 2.5)
         network.dijkstra_array((0, 0))
         assert network._geometry() is not geometry
         assert network._geometry().edge_length.max() == 2.5
-        assert network._snapshot[slot][1] is not adjacency
+        assert network._snapshot[slot][1] is not costs
 
     def test_matcher_after_a_length_edit_equals_a_fresh_one(self):
         rng = np.random.default_rng(21)

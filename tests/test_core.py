@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import DecisionPipeline, RunReport, StageCache
-from repro.benchmarking import ForecastingLeaderboard
+from repro.benchmarking import ForecastingLeaderboard, summarize_latencies
 from repro.datasets import seasonal_series
 from repro.analytics.forecasting import (
     ARForecaster,
@@ -225,3 +225,20 @@ class TestDetectionLeaderboard:
                 np.zeros(50, dtype=bool))
         with pytest.raises(KeyError):
             board.table("accuracy")
+
+
+class TestSummarizeLatencies:
+    def test_empty_input_gives_zeros(self):
+        assert summarize_latencies([]) == {
+            "n_samples": 0, "p50": 0.0, "p90": 0.0, "p99": 0.0,
+            "mean": 0.0, "max": 0.0}
+
+    def test_percentiles_equal_numpy(self):
+        samples = np.random.default_rng(7).exponential(0.01, 257)
+        summary = summarize_latencies(iter(samples.tolist()))
+        p50, p90, p99 = np.percentile(samples, [50, 90, 99])
+        assert (summary["p50"], summary["p90"], summary["p99"]) == \
+            (p50, p90, p99)
+        assert summary["n_samples"] == 257
+        assert summary["mean"] == samples.mean()
+        assert summary["max"] == samples.max()

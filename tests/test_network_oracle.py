@@ -26,7 +26,7 @@ import sys
 
 import networkx as nx
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro import RoadNetwork
@@ -154,6 +154,7 @@ class TestGeneratorsDifferential:
     @settings(deadline=None, max_examples=60, derandomize=True)
     @given(seed=st.integers(0, 2**32 - 1), n_nodes=st.integers(2, 60),
            radius=st.floats(0.5, 4.0))
+    @example(seed=3, n_nodes=400, radius=2.5)
     def test_random_geometric_order_equals_networkx(self, seed, n_nodes,
                                                     radius):
         # Small radii keep components under half the graph, where

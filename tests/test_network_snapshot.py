@@ -1,14 +1,18 @@
 """The network's one snapshot and its one Dijkstra against networkx.
 
-``dijkstra_array`` runs over the network's integer adjacency and
-``dijkstra_all`` is the finite part of its row, so both must equal
-networkx's ``single_source_dijkstra_path_length`` bit for bit, with
-and without a cutoff, on generated graphs: grids, one-way grids,
+``dijkstra_array`` is the settled list of the same unidirectional
+search that serves ``shortest_path`` (a port of networkx's
+``_dijkstra_multisource``, run without a target over the per-edge cost
+list) and ``dijkstra_all`` is the finite part of its row, so both must
+equal networkx's ``single_source_dijkstra_path_length`` bit for bit,
+with and without a cutoff, on generated graphs: grids, one-way grids,
 random geometric graphs, disconnected pairs of grids, a single edge
 and nodes sharing a position -- also after ``set_edge_attribute``
-re-weights ``"length"`` or another attribute.  The snapshot's node
-order is the one order every array query uses.
+re-weights ``"length"`` or another attribute.  A NaN cutoff raises.
+The snapshot's node order is the one order every array query uses.
 """
+
+import math
 
 import networkx as nx
 import numpy as np
@@ -100,16 +104,26 @@ class TestOneDijkstra:
         network.set_edge_attribute((0, 0), (0, 1), "time", 3.0)
         network.dijkstra_array((0, 0), "time")
         assert network._geometry() is geometry
-        slot = ("adjacency", "time", False)
-        assert set(network._snapshot) == {"geometry", ("costs", "time"),
-                                          slot}
+        slot = ("costs", "time")
+        assert set(network._snapshot) == {"geometry", slot}
         assert network._snapshot[slot][0] == \
             network._edits["time"] == network.n_edges + 1
         # An edit to another attribute leaves the "time" slot alone.
-        adjacency = network._snapshot[slot][1]
+        costs = network._snapshot[slot][1]
         network.set_edge_attribute((0, 0), (0, 1), "energy", 1.0)
         network.dijkstra_array((0, 0), "time")
-        assert network._snapshot[slot][1] is adjacency
+        assert network._snapshot[slot][1] is costs
+
+    def test_nan_cutoff_raises(self):
+        network = RoadNetwork.grid(3, 3)
+        for search in (network.dijkstra_array, network.dijkstra_all):
+            with pytest.raises(ValueError, match="NaN"):
+                search((0, 0), cutoff=float("nan"))
+        # Every other cutoff keeps its meaning: inf bounds nothing, a
+        # negative one leaves only the source.
+        assert network.dijkstra_array((0, 0), cutoff=math.inf).tobytes() \
+            == network.dijkstra_array((0, 0)).tobytes()
+        assert network.dijkstra_all((0, 0), cutoff=-1.0) == {(0, 0): 0.0}
 
     def test_unknown_source_raises_key_error(self):
         network = RoadNetwork.grid(2, 2)

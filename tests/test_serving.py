@@ -410,6 +410,17 @@ class TestErrors:
         assert bad.outcome == "error"
         assert isinstance(bad.error, ValueError)
 
+    def test_nan_cutoff_is_an_error_result(self, world):
+        network, _, _, _ = world
+        with DecisionServer(network=network) as server:
+            bad = server.distances((0, 0), cutoff=float("nan"))
+            good = server.distances((0, 0), cutoff=3.0)
+        assert bad.outcome == "error"
+        assert isinstance(bad.error, ValueError)
+        assert good.ok
+        np.testing.assert_array_equal(
+            good.value, network.dijkstra_array((0, 0), cutoff=3.0))
+
     def test_unknown_query_type_raises(self, world):
         server, _, _ = make_server(world)
         with server, pytest.raises(TypeError, match="unknown query"):

@@ -359,7 +359,7 @@ class TestNonFinitePoints:
 
 
 class TestNearestNodeOffMap:
-    """The ring search stays bounded by the grid, however far the query."""
+    """A far-off query's nearest node equals the scan's, however far."""
 
     @pytest.mark.parametrize("make", [
         lambda: RoadNetwork.grid(4, 4),
