@@ -22,7 +22,6 @@ __all__ = [
     "resolve_dependencies",
     "data_dependencies",
     "external_reads",
-    "is_chain",
     "critical_path_seconds",
 ]
 
@@ -74,25 +73,16 @@ def external_reads(stages, deps, index):
     return stages[index].reads - provided
 
 
-def is_chain(deps):
-    """Whether the DAG forces strictly sequential execution.
-
-    True when every stage depends on its immediate predecessor, as
-    in a linear pipeline where each stage reads what the previous
-    one wrote.  The scheduler then skips the thread pool entirely.
-    """
-    return all(j - 1 in deps[j] for j in range(1, len(deps)))
-
-
 class Frontier:
     """Ready-queue bookkeeping over a resolved DAG.
 
-    Tracks which stages are runnable (every dependency finished),
-    which have been *claimed* for execution, and which never started.
-    Pure DAG mechanics — no threads, pools, futures or locks — so any
-    execution backend drives an instance the same way; the caller
-    serializes access (the scheduler touches it only from its
-    completion loop).
+    ``ready`` lists the runnable stages (every dependency finished)
+    that nobody has claimed, in the order they became runnable;
+    :meth:`claim` takes one for execution and :meth:`unstarted`
+    names those never claimed.  Pure DAG mechanics — no threads,
+    pools, futures or locks — so any execution backend drives an
+    instance the same way; the caller serializes access (the
+    scheduler touches it only from its one loop).
     """
 
     def __init__(self, deps):
@@ -102,28 +92,24 @@ class Frontier:
             for i in dep_set:
                 self._dependents[i].append(j)
         self._claimed = set()
-
-    def take_ready(self):
-        """Claim and return every currently runnable, unclaimed index."""
-        ready = [i for i, left in enumerate(self._remaining)
-                 if left == 0 and i not in self._claimed]
-        self._claimed.update(ready)
-        return ready
+        self.ready = [i for i, left in enumerate(self._remaining)
+                      if left == 0]
 
     def claim(self, index):
-        """Mark one index as handed to the backend for execution."""
+        """Take one ready index for execution."""
+        self.ready.remove(index)
         self._claimed.add(index)
 
     def complete(self, index):
         """Mark a claimed index finished; return the dependents it
-        made runnable (unclaimed — the caller claims those it actually
-        submits, so an aborting run leaves them for
-        :meth:`unstarted`)."""
+        made runnable, which join :attr:`ready` unclaimed (so an
+        aborting run leaves them for :meth:`unstarted`)."""
         unblocked = []
         for j in self._dependents[index]:
             self._remaining[j] -= 1
-            if self._remaining[j] == 0 and j not in self._claimed:
+            if self._remaining[j] == 0:
                 unblocked.append(j)
+        self.ready.extend(unblocked)
         return unblocked
 
     def unstarted(self):

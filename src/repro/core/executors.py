@@ -4,16 +4,18 @@ The scheduler (:mod:`repro.core.scheduler`) decides *when* a stage may
 run; an :class:`Executor` decides *where*.  Three backends ship:
 
 * :class:`ThreadExecutor` — the default: contract-independent stages
-  fan out over a thread pool.  Right for I/O-bound and GIL-releasing
-  (large-numpy) stages; pure-Python CPU work serializes on the GIL.
+  that are ready together fan out over a thread pool, while a lone
+  ready stage runs inline on the calling thread.  Right for I/O-bound
+  and GIL-releasing (large-numpy) stages; pure-Python CPU work
+  serializes on the GIL.
 * :class:`ProcessExecutor` — stage attempts run in worker *processes*,
   so CPU-bound Python stages scale with cores.  Stage inputs ship by
   value, except large contiguous ndarrays, which cross zero-copy
   through ``multiprocessing.shared_memory`` segments negotiated from
   the stage's declared ``reads``/``writes`` contract.
 * :class:`SerialExecutor` — everything inline in the calling thread,
-  in deterministic topological order.  The debugging backend: plain
-  stack traces, no pools, no interleaving.
+  lowest ready index first, so stages run in index order.  The
+  debugging backend: plain stack traces, no pools, no interleaving.
 
 Select one per run with ``DecisionPipeline.run(executor=...)`` — an
 instance, a name (``"serial"`` / ``"thread"`` / ``"process"``), or
@@ -55,14 +57,20 @@ backends.
 from __future__ import annotations
 
 import collections
+import concurrent.futures
 import os
 import pickle
 import threading
 import time
 import traceback
-from concurrent.futures import Future, ThreadPoolExecutor
 
-from .stage import ContractViolation, StageCancelled, StageTimeout, _ContractView
+from .stage import (
+    ContractViolation,
+    StageCancelled,
+    StageTimeout,
+    _ContractView,
+    _RunControl,
+)
 
 __all__ = [
     "Executor",
@@ -208,25 +216,6 @@ def _attach(handle):
 # The worker-side attempt
 # ---------------------------------------------------------------------------
 
-class _WorkerControl:
-    """Deadline enforcement inside a worker attempt.
-
-    The parent cannot cooperatively interrupt another process, so it
-    ships the run's remaining deadline budget instead; the view's
-    checkpoint raises :class:`StageCancelled` once it is spent, which
-    travels back as a ``cancelled`` result.
-    """
-
-    def __init__(self, budget):
-        self._expires = (None if budget is None
-                         else time.perf_counter() + float(budget))
-
-    def checkpoint(self, stage_name):
-        if (self._expires is not None
-                and time.perf_counter() > self._expires):
-            raise StageCancelled(stage_name, "run deadline exceeded")
-
-
 def _remote_attempt(request):
     """Execute one stage attempt in a worker process.
 
@@ -249,7 +238,7 @@ def _remote_attempt(request):
             array, segment = _attach(handle)
             state[key] = array
             segments.append(segment)
-        control = _WorkerControl(request["budget"])
+        control = _RunControl(request["budget"])
         view = _ContractView(state, spec, threading.RLock(), control)
         try:
             outcome = request["function"](view)
@@ -303,15 +292,9 @@ def _remote_attempt(request):
 # ---------------------------------------------------------------------------
 
 class Executor:
-    """Where stage attempts run.  Subclasses override :meth:`begin_run`.
-
-    ``concurrent`` tells the scheduler whether independent stages may
-    be in flight simultaneously; a backend with ``concurrent=False``
-    gets the deterministic topological-order path.
-    """
+    """Where stage attempts run.  Subclasses override :meth:`begin_run`."""
 
     kind = "base"
-    concurrent = True
 
     def begin_run(self, stages, *, max_workers=None, metrics=None):
         """A per-run session; the scheduler calls ``finish()`` when
@@ -326,12 +309,15 @@ class Executor:
 
 
 class _Session:
-    """Base per-run session: local attempts, no worker pool."""
+    """Base per-run session: local attempts, and a thread pool for
+    stages that run beside others (``pool`` is ``None`` when the
+    backend runs everything inline)."""
 
     remote_stages = frozenset()
 
-    def submit(self, fn, *args):
-        raise NotImplementedError
+    def __init__(self, workers=None):
+        self.pool = (None if workers is None
+                     else concurrent.futures.ThreadPoolExecutor(workers))
 
     def remote(self, index):
         return index in self.remote_stages
@@ -345,11 +331,12 @@ class _Session:
         return 0.0
 
     def finish(self):
-        pass
+        if self.pool is not None:
+            self.pool.shutdown(wait=True)
 
 
 class SerialExecutor(Executor):
-    """Everything inline in the calling thread, topological order.
+    """Everything inline in the calling thread, in index order.
 
     The debugging backend: no pools, no interleaving, plain stack
     traces — and byte-identical results to the parallel backends for
@@ -357,29 +344,18 @@ class SerialExecutor(Executor):
     """
 
     kind = "serial"
-    concurrent = False
 
     def begin_run(self, stages, *, max_workers=None, metrics=None):
         return _Session()
 
 
-class _ThreadSession(_Session):
-    def __init__(self, workers):
-        self._pool = ThreadPoolExecutor(max_workers=workers)
-
-    def submit(self, fn, *args):
-        return self._pool.submit(fn, *args)
-
-    def finish(self):
-        self._pool.shutdown(wait=True)
-
-
 class ThreadExecutor(Executor):
     """The default backend: a per-run thread pool.
 
-    Attempts run in worker threads of this process against the shared
-    state dict (under the run lock), so there is no serialization cost
-    — and no escape from the GIL for pure-Python CPU-bound stages.
+    Stages that are ready together run in worker threads of this
+    process against the shared state dict (under the run lock), so
+    there is no serialization cost — and no escape from the GIL for
+    pure-Python CPU-bound stages.  A lone ready stage skips the pool.
     """
 
     kind = "thread"
@@ -391,7 +367,7 @@ class ThreadExecutor(Executor):
     def begin_run(self, stages, *, max_workers=None, metrics=None):
         workers = (self.max_workers or max_workers
                    or min(32, max(1, len(stages))))
-        return _ThreadSession(workers)
+        return _Session(workers)
 
 
 # ---------------------------------------------------------------------------
@@ -408,9 +384,9 @@ class _ProcessSession(_Session):
     """
 
     def __init__(self, executor, stages, workers, metrics):
+        super().__init__(workers)
         self._executor = executor
         self._stages = stages
-        self._pool = ThreadPoolExecutor(max_workers=workers)
         self._arena = _ShmArena()
         self._metrics = metrics
         self._worker_cpu = {}
@@ -429,9 +405,6 @@ class _ProcessSession(_Session):
                 "Bytes of ndarray input published to shared memory")
         else:
             self._m_remote = self._m_shared = None
-
-    def submit(self, fn, *args):
-        return self._pool.submit(fn, *args)
 
     # -- remote attempt ------------------------------------------------------
 
@@ -503,7 +476,7 @@ class _ProcessSession(_Session):
         while True:
             try:
                 return future.result(timeout=_POLL_SECONDS)
-            except TimeoutError:
+            except concurrent.futures.TimeoutError:
                 control.checkpoint(stage.name)
             except (pickle.PicklingError, AttributeError,
                     TypeError) as exc:
@@ -514,7 +487,7 @@ class _ProcessSession(_Session):
                     "backend") from exc
 
     def finish(self):
-        self._pool.shutdown(wait=True)
+        super().finish()
         self._arena.close()
 
 
@@ -531,20 +504,15 @@ class ProcessExecutor(Executor):
         ``engine.executor_local_stages_total``; ``"error"`` raises
         :class:`ExecutorError` at run start instead, naming every
         offending stage and why.
-    start_method:
-        ``multiprocessing`` start method.  Default: the
-        ``REPRO_EXECUTOR_START`` environment variable, else ``fork``
-        where available (fast, no re-import) falling back to
-        ``spawn``.
-
     The worker pool is created lazily on the first remote attempt and
-    reused across runs; :meth:`close` shuts it down.
+    reused across runs; :meth:`close` shuts it down.  Workers start
+    with ``fork`` where available (fast, no re-import), else
+    ``spawn``.
     """
 
     kind = "process"
 
-    def __init__(self, max_workers=None, *, on_unpicklable="local",
-                 start_method=None):
+    def __init__(self, max_workers=None, *, on_unpicklable="local"):
         if on_unpicklable not in ("local", "error"):
             raise ValueError(
                 "on_unpicklable must be 'local' or 'error', got "
@@ -552,7 +520,6 @@ class ProcessExecutor(Executor):
         self.max_workers = (int(max_workers) if max_workers is not None
                             else (os.cpu_count() or 1))
         self.on_unpicklable = on_unpicklable
-        self.start_method = start_method
         self._pool = None
         self._pool_lock = threading.Lock()  # noqa: RC034 -- owns the worker pool; orchestrator is process-local
 
@@ -562,11 +529,8 @@ class ProcessExecutor(Executor):
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
-        method = (self.start_method
-                  or os.environ.get("REPRO_EXECUTOR_START")
-                  or ("fork" if "fork"
-                      in multiprocessing.get_all_start_methods()
-                      else "spawn"))
+        method = ("fork" if "fork" in multiprocessing.get_all_start_methods()
+                  else "spawn")
         context = multiprocessing.get_context(method)
         # Start the shared-memory resource tracker before any worker
         # forks, so every worker inherits it; otherwise each one starts

@@ -2,7 +2,7 @@
 
 Given stages and their resolved dependencies, the scheduler runs
 every stage whose dependencies are satisfied.  *When* a stage may run
-is decided here, over a backend-agnostic
+is decided here, by one loop over a backend-agnostic
 :class:`~repro.core.dag.Frontier`; *where* its attempts run is
 delegated to a pluggable :class:`~repro.core.executors.Executor` —
 threads by default (right for I/O-bound and GIL-releasing numpy
@@ -12,11 +12,11 @@ backoff, failure policies, commits, events, cache replay) happens on
 the parent's threads, so traces, metrics and reports are identical
 across backends.
 
-Chain-shaped DAGs — linear pipelines where each stage consumes its
-predecessor's writes — are detected and executed inline in the
-calling thread: zero pool overhead.
-(A non-``concurrent`` backend such as ``SerialExecutor`` forces the
-same deterministic topological-order path for any DAG shape.)
+A ready stage runs inline on the calling thread when it is the only
+ready stage and nothing is in flight — every stage of a linear
+chain, for instance — or when the backend has no pool (serial, which
+takes the lowest ready index first and so runs in index order).
+Only stages that can overlap go to the session's pool.
 
 Execution is *transactional*: each attempt runs against a buffering
 :class:`~repro.core.stage._ContractView` and its writes (including
@@ -81,56 +81,13 @@ from .stage import (
     StageFailure,
     StageTimeout,
     _ContractView,
+    _RunControl,
 )
 
 __all__ = ["DagScheduler"]
 
 #: Upper bound on a single backoff sleep, seconds.
 BACKOFF_CAP = 2.0
-
-
-class _RunControl:
-    """Shared cancellation and deadline state for one run.
-
-    ``cancel(reason)`` flips the run into a cancelled state (first
-    reason wins); ``checkpoint(stage)`` is called by every state
-    access and raises :class:`StageCancelled` once cancelled, making
-    every stage's state traffic a cooperative cancellation point.
-    """
-
-    def __init__(self, deadline=None):
-        self._started = time.perf_counter()
-        self._deadline_at = (None if deadline is None
-                             else self._started + float(deadline))
-        self._cancelled = threading.Event()
-        self._reason_lock = threading.Lock()  # noqa: RC034 -- per-run cancellation state; never crosses a process
-        self.reason = None
-
-    def cancel(self, reason):
-        with self._reason_lock:
-            if self.reason is None:
-                self.reason = str(reason)
-        self._cancelled.set()
-
-    @property
-    def cancelled(self):
-        return self._cancelled.is_set()
-
-    def deadline_exceeded(self):
-        return (self._deadline_at is not None
-                and time.perf_counter() > self._deadline_at)
-
-    def remaining(self):
-        """Seconds left in the run budget (``None`` = unbounded)."""
-        if self._deadline_at is None:
-            return None
-        return max(0.0, self._deadline_at - time.perf_counter())
-
-    def checkpoint(self, stage_name):
-        if not self.cancelled and self.deadline_exceeded():
-            self.cancel("run deadline exceeded")
-        if self.cancelled:
-            raise StageCancelled(stage_name, self.reason)
 
 
 class DagScheduler:
@@ -175,38 +132,34 @@ class DagScheduler:
                                copy_on_read=copy_on_read,
                                metrics=metrics, profiler=profiler,
                                session=session, run_id=run_id)
-            if (not executor.concurrent or len(stages) <= 1
-                    or _dag.is_chain(deps)):
-                self._execute_chain(stages, run)
-                return
-            self._execute_concurrent(stages, deps, run, control,
-                                     session)
+            self._drive(stages, deps, run, control, session)
         finally:
             session.finish()
 
-    def _execute_chain(self, stages, run):
-        for index in range(len(stages)):
-            run.mark_ready(index)
-            try:
-                run(index)
-            except BaseException:
-                self._record_cancelled(stages,
-                                       range(index + 1, len(stages)),
-                                       run)
-                raise
-
-    def _execute_concurrent(self, stages, deps, run, control, session):
+    def _drive(self, stages, deps, run, control, session):
+        """The one scheduling loop, for every backend and DAG shape."""
         frontier = _dag.Frontier(deps)
+        for index in frontier.ready:
+            run.mark_ready(index)
         failures = []
         futures = {}
-        for i in frontier.take_ready():
-            run.mark_ready(i)
-            futures[session.submit(run, i)] = i
-        while futures:
-            done, _ = wait(futures, return_when=FIRST_COMPLETED)
-            for future in done:
-                index = futures.pop(future)
-                error = future.exception()
+        while True:
+            ready = ([] if failures or control.cancelled
+                     else frontier.ready)
+            if not ready and not futures:
+                break
+            if not futures and (len(ready) == 1 or session.pool is None):
+                index = min(ready)
+                frontier.claim(index)
+                done = [(index, _run_inline(run, index))]
+            else:
+                for index in list(ready):
+                    frontier.claim(index)
+                    futures[session.pool.submit(run, index)] = index
+                finished, _ = wait(futures, return_when=FIRST_COMPLETED)
+                done = [(futures.pop(future), future.exception())
+                        for future in finished]
+            for index, error in done:
                 if error is not None:
                     failures.append(error)
                     # Cancel every other in-flight stage: their
@@ -216,10 +169,7 @@ class DagScheduler:
                         f"stage {stages[index].name!r} aborted "
                         "the run")
                 for j in frontier.complete(index):
-                    if not failures and not control.cancelled:
-                        frontier.claim(j)
-                        run.mark_ready(j)
-                        futures[session.submit(run, j)] = j
+                    run.mark_ready(j)
         unrun = frontier.unstarted()
         if failures:
             self._record_cancelled(stages, unrun, run)
@@ -238,6 +188,16 @@ class DagScheduler:
         """Audit-trail records for stages the abort kept from running."""
         for j in indices:
             run.record_cancelled(stages[j], "run aborted")
+
+
+def _run_inline(run, index):
+    """Run one stage on the calling thread; its error, as a future
+    would hold it."""
+    try:
+        run(index)
+    except BaseException as exc:
+        return exc
+    return None
 
 
 #: One execution of one stage: its start stamp (``None`` for a stage

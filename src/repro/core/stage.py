@@ -33,6 +33,7 @@ lint time before a run ever starts.
 
 from __future__ import annotations
 
+import threading
 import time
 from collections.abc import MutableMapping
 
@@ -104,6 +105,52 @@ class StageCancelled(BaseException):
         )
         self.stage = str(stage)
         self.reason = str(reason)
+
+
+class _RunControl:
+    """Shared cancellation and deadline state for one run.
+
+    ``cancel(reason)`` flips the run into a cancelled state (first
+    reason wins); ``checkpoint(stage)`` is called by every state
+    access and raises :class:`StageCancelled` once cancelled, making
+    every stage's state traffic a cooperative cancellation point.
+    A worker process builds its own from the run's remaining
+    ``deadline`` budget, since the parent cannot reach into it.
+    """
+
+    def __init__(self, deadline=None):
+        self._started = time.perf_counter()
+        self._deadline_at = (None if deadline is None
+                             else self._started + float(deadline))
+        self._cancelled = threading.Event()
+        self._reason_lock = threading.Lock()  # noqa: RC034 -- per-run cancellation state; built on each side of a process boundary, never pickled
+        self.reason = None
+
+    def cancel(self, reason):
+        with self._reason_lock:
+            if self.reason is None:
+                self.reason = str(reason)
+        self._cancelled.set()
+
+    @property
+    def cancelled(self):
+        return self._cancelled.is_set()
+
+    def deadline_exceeded(self):
+        return (self._deadline_at is not None
+                and time.perf_counter() > self._deadline_at)
+
+    def remaining(self):
+        """Seconds left in the run budget (``None`` = unbounded)."""
+        if self._deadline_at is None:
+            return None
+        return max(0.0, self._deadline_at - time.perf_counter())
+
+    def checkpoint(self, stage_name):
+        if not self.cancelled and self.deadline_exceeded():
+            self.cancel("run deadline exceeded")
+        if self.cancelled:
+            raise StageCancelled(stage_name, self.reason)
 
 
 class RunDeadlineExceeded(RuntimeError):

@@ -1,8 +1,9 @@
 """Tests for the DAG execution engine behind :class:`DecisionPipeline`.
 
 Covers stage contracts and their runtime validation, dependency
-resolution, concurrent scheduling (wall clock below the sequential
-sum for contract-independent stages), failure policies (fail / skip /
+resolution, scheduling (contract-independent stages overlap on the
+thread pool, a lone ready stage runs on the calling thread, serial
+runs in index order), failure policies (fail / skip /
 fallback with bounded retries), the content-keyed stage cache and its
 E1 ``without_stage`` cone semantics, and the tracer/report
 observability surface.
@@ -20,11 +21,7 @@ from repro.core import (
     StageCache,
     StageFailure,
 )
-from repro.core.dag import (
-    critical_path_seconds,
-    is_chain,
-    resolve_dependencies,
-)
+from repro.core.dag import critical_path_seconds
 from repro.core.stage import Stage
 
 
@@ -117,16 +114,26 @@ class TestStageContracts:
 
 class TestDagResolution:
     def test_wildcard_stages_resolve_to_chain(self):
-        # Each stage reads its predecessor's write: a linear chain.
-        stages = [Stage("data", "a", lambda s: "a",
-                        reads=(), writes=("a",)),
-                  Stage("governance", "b", lambda s: "b",
-                        reads=("a",), writes=("b",)),
-                  Stage("decision", "c", lambda s: "c",
-                        reads=("b",), writes=("c",))]
-        deps = resolve_dependencies(stages)
-        assert deps == [set(), {0}, {1}]
-        assert is_chain(deps)
+        # Each stage reads its predecessor's write: a linear chain,
+        # which the thread backend runs on the calling thread.
+        threads = {}
+
+        def stage(name):
+            def run(s):
+                threads[name] = threading.get_ident()
+                return name
+            return run
+
+        pipeline = DecisionPipeline()
+        pipeline.add_data("a", stage("a"), reads=(), writes=("a",))
+        pipeline.add_governance("b", stage("b"),
+                                reads=("a",), writes=("b",))
+        pipeline.add_decision("c", stage("c"),
+                              reads=("b",), writes=("c",))
+        assert pipeline.resolved_dag() == {"a": (), "b": ("a",),
+                                           "c": ("b",)}
+        pipeline.run(executor="thread")
+        assert threads == dict.fromkeys("abc", threading.get_ident())
 
     def test_contract_independence_drops_edges(self):
         pipeline = DecisionPipeline()
@@ -177,14 +184,14 @@ class TestDagResolution:
 
 class TestScheduler:
     def test_independent_stages_run_concurrently(self):
-        # The acceptance criterion: >= 2 contract-independent
-        # governance stages of >= 10 ms each must finish in
-        # measurably less wall-clock time than their sequential sum.
-        nap = 0.04
+        # The acceptance criterion: contract-independent governance
+        # stages are in flight together -- all three must pass one
+        # barrier, which no sequential schedule can get through.
+        barrier = threading.Barrier(3, timeout=5)
 
-        def sleeper(key):
+        def gated(key):
             def stage(s):
-                time.sleep(nap)
+                barrier.wait()
                 s[key] = True
                 return key
             return stage
@@ -193,17 +200,14 @@ class TestScheduler:
         pipeline.add_data("load", lambda s: s.update(x=1) or "loaded",
                           reads=(), writes=("x",))
         for key in ("a", "b", "c"):
-            pipeline.add_governance(f"g_{key}", sleeper(key),
+            pipeline.add_governance(f"g_{key}", gated(key),
                                     reads=("x",), writes=(key,))
         pipeline.add_decision("join",
                               lambda s: f"{s['a']}{s['b']}{s['c']}",
                               reads=("a", "b", "c"), writes=())
-        state, report = pipeline.run()
+        state, report = pipeline.run(executor="thread")
         assert state["a"] and state["b"] and state["c"]
-        assert report.total_seconds >= 3 * nap
-        assert report.wall_seconds < 0.75 * report.total_seconds
-        assert (report.critical_path_seconds
-                < 0.75 * report.total_seconds)
+        assert report.critical_path_seconds < report.total_seconds
 
     def test_concurrent_stages_see_consistent_state(self):
         barrier = threading.Barrier(2, timeout=5)
@@ -222,7 +226,7 @@ class TestScheduler:
                                 reads=("x",), writes=("a",))
         pipeline.add_governance("g2", worker("b"),
                                 reads=("x",), writes=("b",))
-        state, _ = pipeline.run()
+        state, _ = pipeline.run(executor="thread")
         assert state["a"] == state["b"] == 2
 
     def test_wildcard_pipeline_runs_sequentially(self):
@@ -247,6 +251,90 @@ class TestScheduler:
             previous = (name,)
         pipeline.run()
         assert max(overlaps) == 1
+
+    def test_only_stages_ready_together_use_the_pool(self):
+        # load is the lone ready stage, g1 and g2 are ready together,
+        # and join is alone again once both have finished.
+        caller = threading.get_ident()
+        barrier = threading.Barrier(2, timeout=5)
+        threads = {}
+
+        def stage(name, key=None):
+            def run(s):
+                if key is not None:
+                    barrier.wait()
+                    s[key] = 1
+                threads[name] = threading.get_ident()
+                return name
+            return run
+
+        pipeline = DecisionPipeline()
+        pipeline.add_data("load", stage("load"), reads=(),
+                          writes=("x",))
+        pipeline.add_governance("g1", stage("g1", "a"),
+                                reads=("x",), writes=("a",))
+        pipeline.add_governance("g2", stage("g2", "b"),
+                                reads=("x",), writes=("b",))
+        pipeline.add_decision("join", stage("join"),
+                              reads=("a", "b"), writes=())
+        pipeline.run(executor="thread")
+        assert threads["load"] == threads["join"] == caller
+        assert caller not in (threads["g1"], threads["g2"])
+        assert threads["g1"] != threads["g2"]
+
+    def test_serial_runs_the_lowest_ready_index_first(self):
+        # a and c are both roots; b becomes ready after a and has the
+        # lower index, so it runs before c.
+        order = []
+
+        def stage(name):
+            def run(s):
+                order.append(name)
+                if name == "a":
+                    s["x"] = 1
+                return name
+            return run
+
+        pipeline = DecisionPipeline()
+        pipeline.add_data("a", stage("a"), reads=(), writes=("x",))
+        pipeline.add_governance("b", stage("b"), reads=("x",),
+                                writes=())
+        pipeline.add_governance("c", stage("c"), reads=(), writes=())
+        pipeline.run(executor="serial")
+        assert order == ["a", "b", "c"]
+
+    @pytest.mark.parametrize("executor", ["thread", "serial"])
+    def test_failing_inline_stage_cancels_the_rest(self, executor):
+        caller = threading.get_ident()
+        threads = {}
+
+        def boom(s):
+            threads["boom"] = threading.get_ident()
+            raise ZeroDivisionError("division by zero")
+
+        pipeline = DecisionPipeline()
+        pipeline.add_data("ok", lambda s: s.update(x=1) or "ok",
+                          reads=(), writes=("x",))
+        pipeline.add_governance("boom", boom, reads=("x",),
+                                writes=("y",))
+        pipeline.add_analytics("next", lambda s: "n", reads=("y",),
+                               writes=("z",))
+        pipeline.add_decision("last", lambda s: "l", reads=("z",),
+                              writes=())
+        with pytest.raises(StageFailure) as excinfo:
+            pipeline.run(executor=executor)
+        failure = excinfo.value
+        assert threads["boom"] == caller
+        assert failure.stage == "boom"
+        assert str(failure) == ("stage 'boom' failed after 1 "
+                                "attempt(s): division by zero")
+        assert failure.secondary == []
+        assert isinstance(failure.__cause__, ZeroDivisionError)
+        assert failure.report.status_map() == {
+            "ok": "ok", "boom": "failed", "next": "cancelled",
+            "last": "cancelled"}
+        assert [failure.report.record(name).error
+                for name in ("next", "last")] == ["run aborted"] * 2
 
 
 # -- failure policies -------------------------------------------------------

@@ -10,6 +10,7 @@ ships large ndarrays zero-copy through shared memory and folds
 worker-side metrics back into the parent registry.
 """
 
+import concurrent.futures
 import functools
 import os
 import pathlib
@@ -18,6 +19,7 @@ import subprocess
 import sys
 import threading
 import textwrap
+import types
 
 import numpy as np
 import pytest
@@ -29,7 +31,6 @@ from repro.core.dag import Frontier
 from repro.core.events import StageEvent
 from repro.core.executors import (
     SHARE_MIN_BYTES,
-    Executor,
     ExecutorError,
     ProcessExecutor,
     RemoteStageError,
@@ -179,9 +180,6 @@ class TestResolveExecutor:
         assert SerialExecutor.kind == "serial"
         assert ThreadExecutor.kind == "thread"
         assert ProcessExecutor.kind == "process"
-        assert not SerialExecutor.concurrent
-        assert ThreadExecutor.concurrent
-        assert Executor.concurrent
 
 
 # -- backend equivalence -----------------------------------------------------
@@ -444,6 +442,32 @@ class TestRemoteFailures:
                 p.run(executor=executor)
         finally:
             executor.close()
+
+    def test_poll_waits_out_a_futures_timeout(self):
+        # On Python 3.10 future.result(timeout=...) raises
+        # concurrent.futures.TimeoutError, which is not the built-in
+        # TimeoutError there; a poll that misses it fails every
+        # attempt longer than one poll interval.
+        class SlowFuture:
+            polls = 0
+
+            def result(self, timeout=None):
+                self.polls += 1
+                if self.polls == 1:
+                    raise concurrent.futures.TimeoutError
+                return b"payload"
+
+        checkpoints = []
+        control = types.SimpleNamespace(checkpoint=checkpoints.append)
+        stage = types.SimpleNamespace(name="slow")
+        future = SlowFuture()
+        session = ProcessExecutor(max_workers=1).begin_run([])
+        try:
+            assert session._await(future, stage, control) == b"payload"
+        finally:
+            session.finish()
+        assert future.polls == 2
+        assert checkpoints == ["slow"]
 
 
 # -- failure-policy matrix across backends -----------------------------------
@@ -750,9 +774,11 @@ class TestFrontier:
     def test_diamond_ordering(self):
         deps = [set(), {0}, {0}, {1, 2}]
         frontier = Frontier(deps)
-        assert frontier.take_ready() == [0]
-        assert frontier.take_ready() == []  # claimed, not re-offered
+        assert frontier.ready == [0]
+        frontier.claim(0)
+        assert frontier.ready == []  # claimed, not re-offered
         assert frontier.complete(0) == [1, 2]
+        assert frontier.ready == [1, 2]
         frontier.claim(1)
         frontier.claim(2)
         assert frontier.complete(1) == []
@@ -765,7 +791,7 @@ class TestFrontier:
     def test_abandoned_dependents_stay_unstarted(self):
         deps = [set(), {0}]
         frontier = Frontier(deps)
-        frontier.take_ready()
+        frontier.claim(0)
         unblocked = frontier.complete(0)  # run aborts: never claimed
         assert unblocked == [1]
         assert frontier.unstarted() == [1]

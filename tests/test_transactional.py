@@ -598,7 +598,7 @@ class TestBoundedExecution:
         pipeline.add_governance("f2", failer("f2"),
                                 reads=(), writes=("b",), backoff=0)
         with pytest.raises(StageFailure) as excinfo:
-            pipeline.run()
+            pipeline.run(executor="thread")
         failure = excinfo.value
         # Both failures happened; the second is attached, not dropped.
         assert len(failure.secondary) == 1
