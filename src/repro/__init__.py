@@ -18,74 +18,28 @@ paradigm from the ICDE 2025 tutorial by Yang, Liang, Guo and Jensen:
 * :mod:`repro.benchmarking` -- the unified evaluation harness.
 """
 
-from . import (
-    analytics,
-    benchmarking,
-    core,
-    datasets,
-    datatypes,
-    decision,
-    governance,
-    observability,
-    serve,
-)
-from .core import (
-    CollectingTracer,
-    ContractViolation,
-    DecisionPipeline,
-    FaultInjector,
-    IncrementalSession,
-    ProcessExecutor,
-    RunDeadlineExceeded,
-    SerialExecutor,
-    StageCache,
-    StageFailure,
-    StageTimeout,
-    ThreadExecutor,
-)
-from .datatypes import (
-    CorrelatedTimeSeries,
-    GpsPoint,
-    ImageSequence,
-    RoadNetwork,
-    TimeSeries,
-    Trajectory,
-)
-from .observability import MetricsRegistry, SpanTracer
-from .serve import DecisionServer
+from . import _lazy
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "CollectingTracer",
-    "ContractViolation",
-    "CorrelatedTimeSeries",
-    "DecisionPipeline",
-    "DecisionServer",
-    "FaultInjector",
-    "GpsPoint",
-    "IncrementalSession",
-    "MetricsRegistry",
-    "ProcessExecutor",
-    "RunDeadlineExceeded",
-    "SerialExecutor",
-    "SpanTracer",
-    "StageCache",
-    "StageFailure",
-    "StageTimeout",
-    "ThreadExecutor",
-    "ImageSequence",
-    "RoadNetwork",
-    "TimeSeries",
-    "Trajectory",
-    "analytics",
-    "benchmarking",
-    "core",
-    "datasets",
-    "datatypes",
-    "decision",
-    "governance",
-    "observability",
-    "serve",
-    "__version__",
-]
+__getattr__, __dir__, __all__ = _lazy.exports(__name__, {
+    "analysis": (),
+    "analytics": ("analytics",),
+    "benchmarking": ("benchmarking",),
+    "core": (
+        "core", "CollectingTracer", "ContractViolation", "DecisionPipeline",
+        "FaultInjector", "IncrementalSession", "ProcessExecutor",
+        "RunDeadlineExceeded", "SerialExecutor", "StageCache", "StageFailure",
+        "StageTimeout", "ThreadExecutor",
+    ),
+    "datasets": ("datasets",),
+    "datatypes": (
+        "datatypes", "CorrelatedTimeSeries", "GpsPoint", "ImageSequence",
+        "RoadNetwork", "TimeSeries", "Trajectory",
+    ),
+    "decision": ("decision",),
+    "governance": ("governance",),
+    "observability": ("observability", "MetricsRegistry", "SpanTracer"),
+    "serve": ("serve", "DecisionServer"),
+})
+__all__ += ["__version__"]

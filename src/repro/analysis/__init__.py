@@ -26,54 +26,19 @@ The rule set is a pluggable registry -- see
 ``docs/STATIC_ANALYSIS.md``.
 """
 
-from .analyzer import (
-    analyze_file,
-    analyze_paths,
-    analyze_source,
-    iter_python_files,
-)
-from .concurrency import (
-    ClassInfo,
-    MethodInfo,
-    extract_classes,
-)
-from .extract import (
-    FunctionEffects,
-    ModuleInfo,
-    PipelineDecl,
-    StageDecl,
-    extract_module,
-    function_effects,
-)
-from .findings import (
-    ERROR,
-    Finding,
-    Rule,
-    WARNING,
-    all_rules,
-    get_rule,
-    register_rule,
-)
+from .. import _lazy
 
-__all__ = [
-    "ERROR",
-    "ClassInfo",
-    "Finding",
-    "FunctionEffects",
-    "MethodInfo",
-    "ModuleInfo",
-    "PipelineDecl",
-    "Rule",
-    "StageDecl",
-    "WARNING",
-    "all_rules",
-    "analyze_file",
-    "analyze_paths",
-    "analyze_source",
-    "extract_classes",
-    "extract_module",
-    "function_effects",
-    "get_rule",
-    "iter_python_files",
-    "register_rule",
-]
+__getattr__, __dir__, __all__ = _lazy.exports(__name__, {
+    "analyzer": (
+        "analyze_file", "analyze_paths", "analyze_source", "iter_python_files",
+    ),
+    "concurrency": ("ClassInfo", "MethodInfo", "extract_classes"),
+    "extract": (
+        "FunctionEffects", "ModuleInfo", "PipelineDecl", "StageDecl",
+        "extract_module", "function_effects",
+    ),
+    "findings": (
+        "ERROR", "Finding", "Rule", "WARNING", "all_rules", "get_rule",
+        "register_rule",
+    ),
+})

@@ -3,28 +3,17 @@ classification, organized around the five desired characteristics --
 automation, generality, robustness, explainability, and resource
 efficiency."""
 
-from . import (
-    anomaly,
-    generative,
-    automation,
-    classification,
-    efficiency,
-    explainability,
-    forecasting,
-    metrics,
-    representation,
-    robustness,
-)
+from .. import _lazy
 
-__all__ = [
-    "anomaly",
-    "generative",
-    "automation",
-    "classification",
-    "efficiency",
-    "explainability",
-    "forecasting",
-    "metrics",
-    "representation",
-    "robustness",
-]
+__getattr__, __dir__, __all__ = _lazy.exports(__name__, {
+    "anomaly": ("anomaly",),
+    "automation": ("automation",),
+    "classification": ("classification",),
+    "efficiency": ("efficiency",),
+    "explainability": ("explainability",),
+    "forecasting": ("forecasting",),
+    "generative": ("generative",),
+    "metrics": ("metrics",),
+    "representation": ("representation",),
+    "robustness": ("robustness",),
+})

@@ -1,17 +1,14 @@
 """Anomaly detection: autoencoders, robust training, ensembles, and the
 spectral-residual baseline."""
 
-from .autoencoder import AutoencoderDetector
-from .ensembles import DiversityDrivenEnsembleDetector, RandomizedEnsembleDetector
-from .robust import RobustAutoencoderDetector
-from .spatial import GraphDeviationDetector
-from .spectral import SpectralResidualDetector
+from ... import _lazy
 
-__all__ = [
-    "AutoencoderDetector",
-    "DiversityDrivenEnsembleDetector",
-    "GraphDeviationDetector",
-    "RandomizedEnsembleDetector",
-    "RobustAutoencoderDetector",
-    "SpectralResidualDetector",
-]
+__getattr__, __dir__, __all__ = _lazy.exports(__name__, {
+    "autoencoder": ("AutoencoderDetector",),
+    "ensembles": (
+        "DiversityDrivenEnsembleDetector", "RandomizedEnsembleDetector",
+    ),
+    "robust": ("RobustAutoencoderDetector",),
+    "spatial": ("GraphDeviationDetector",),
+    "spectral": ("SpectralResidualDetector",),
+})

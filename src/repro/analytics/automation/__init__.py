@@ -1,24 +1,13 @@
 """Automated model selection: the AutoCTS family reproduced as search
 over a joint architecture/hyperparameter space."""
 
-from .search import (
-    EvolutionarySearch,
-    RandomSearch,
-    SearchResult,
-    SuccessiveHalving,
-    evaluate_config,
-)
-from .search_space import SearchSpace, build_forecaster
-from .zero_shot import ZeroShotSelector, dataset_meta_features
+from ... import _lazy
 
-__all__ = [
-    "EvolutionarySearch",
-    "RandomSearch",
-    "SearchResult",
-    "SearchSpace",
-    "SuccessiveHalving",
-    "ZeroShotSelector",
-    "build_forecaster",
-    "dataset_meta_features",
-    "evaluate_config",
-]
+__getattr__, __dir__, __all__ = _lazy.exports(__name__, {
+    "search": (
+        "EvolutionarySearch", "RandomSearch", "SearchResult",
+        "SuccessiveHalving", "evaluate_config",
+    ),
+    "search_space": ("SearchSpace", "build_forecaster"),
+    "zero_shot": ("ZeroShotSelector", "dataset_meta_features"),
+})

@@ -1,14 +1,10 @@
 """Time-series classification: DTW, random kernels, and LightTS-style
 adaptive ensemble distillation."""
 
-from .distance import KnnDtwClassifier, dtw_distance
-from .lightts import LightTsDistiller
-from .rocket import RocketClassifier, RocketFeatures
+from ... import _lazy
 
-__all__ = [
-    "KnnDtwClassifier",
-    "LightTsDistiller",
-    "RocketClassifier",
-    "RocketFeatures",
-    "dtw_distance",
-]
+__getattr__, __dir__, __all__ = _lazy.exports(__name__, {
+    "distance": ("KnnDtwClassifier", "dtw_distance"),
+    "lightts": ("LightTsDistiller",),
+    "rocket": ("RocketClassifier", "RocketFeatures"),
+})

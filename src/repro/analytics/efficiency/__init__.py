@@ -1,20 +1,13 @@
 """Resource efficiency: quantization, continual calibration (QCore),
 dataset condensation (TimeDC), and knowledge distillation."""
 
-from .condensation import TimeSeriesCondenser
-from .distillation import DistilledForecaster
-from .quantization import (
-    QuantizedLinear,
-    dequantize_array,
-    model_size_bytes,
-    quantize_array,
-)
+from ... import _lazy
 
-__all__ = [
-    "DistilledForecaster",
-    "QuantizedLinear",
-    "TimeSeriesCondenser",
-    "dequantize_array",
-    "model_size_bytes",
-    "quantize_array",
-]
+__getattr__, __dir__, __all__ = _lazy.exports(__name__, {
+    "condensation": ("TimeSeriesCondenser",),
+    "distillation": ("DistilledForecaster",),
+    "quantization": (
+        "QuantizedLinear", "dequantize_array", "model_size_bytes",
+        "quantize_array",
+    ),
+})

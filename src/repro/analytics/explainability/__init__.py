@@ -1,15 +1,10 @@
 """Explainability: post-hoc localization metrics, feature importance,
 interpretable surrogates, and temporal association graphs."""
 
-from .associations import granger_matrix, lagged_correlation_graph
-from .importance import SparseSurrogate, permutation_importance
-from .posthoc import explanation_accuracy, inject_channel_anomalies
+from ... import _lazy
 
-__all__ = [
-    "SparseSurrogate",
-    "explanation_accuracy",
-    "granger_matrix",
-    "inject_channel_anomalies",
-    "lagged_correlation_graph",
-    "permutation_importance",
-]
+__getattr__, __dir__, __all__ = _lazy.exports(__name__, {
+    "associations": ("granger_matrix", "lagged_correlation_graph"),
+    "importance": ("SparseSurrogate", "permutation_importance"),
+    "posthoc": ("explanation_accuracy", "inject_channel_anomalies"),
+})

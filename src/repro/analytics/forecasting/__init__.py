@@ -1,36 +1,19 @@
 """Forecasting: classical, linear, graph, probabilistic, ensembles."""
 
-from .base import Forecaster, rolling_origin_evaluation
-from .classical import (
-    DriftForecaster,
-    HoltForecaster,
-    HoltWintersForecaster,
-    NaiveForecaster,
-    SeasonalNaiveForecaster,
-    SimpleExponentialSmoothing,
-)
-from .direct import DirectForecaster
-from .ensemble import EnsembleForecaster
-from .graph import GraphFilterForecaster
-from .linear import ARForecaster, ExogenousForecaster, VARForecaster, ridge_fit
-from .probabilistic import GaussianForecaster, QuantileForecaster
+from ... import _lazy
 
-__all__ = [
-    "ARForecaster",
-    "DirectForecaster",
-    "DriftForecaster",
-    "EnsembleForecaster",
-    "ExogenousForecaster",
-    "Forecaster",
-    "GaussianForecaster",
-    "GraphFilterForecaster",
-    "HoltForecaster",
-    "HoltWintersForecaster",
-    "NaiveForecaster",
-    "QuantileForecaster",
-    "SeasonalNaiveForecaster",
-    "SimpleExponentialSmoothing",
-    "VARForecaster",
-    "ridge_fit",
-    "rolling_origin_evaluation",
-]
+__getattr__, __dir__, __all__ = _lazy.exports(__name__, {
+    "base": ("Forecaster", "rolling_origin_evaluation"),
+    "classical": (
+        "DriftForecaster", "HoltForecaster", "HoltWintersForecaster",
+        "NaiveForecaster", "SeasonalNaiveForecaster",
+        "SimpleExponentialSmoothing",
+    ),
+    "direct": ("DirectForecaster",),
+    "ensemble": ("EnsembleForecaster",),
+    "graph": ("GraphFilterForecaster",),
+    "linear": (
+        "ARForecaster", "ExogenousForecaster", "VARForecaster", "ridge_fit",
+    ),
+    "probabilistic": ("GaussianForecaster", "QuantileForecaster"),
+})

@@ -1,9 +1,10 @@
 """Generality: pretrained representations (contrastive + masked) with
 linear probing."""
 
-from .contrastive import ContrastiveEncoder
-from .masked import LinearProbe, MaskedAutoencoderPretrainer
-from .path2vec import PathEncoder
+from ... import _lazy
 
-__all__ = ["ContrastiveEncoder", "LinearProbe",
-           "MaskedAutoencoderPretrainer", "PathEncoder"]
+__getattr__, __dir__, __all__ = _lazy.exports(__name__, {
+    "contrastive": ("ContrastiveEncoder",),
+    "masked": ("LinearProbe", "MaskedAutoencoderPretrainer"),
+    "path2vec": ("PathEncoder",),
+})

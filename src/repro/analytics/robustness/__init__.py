@@ -1,23 +1,13 @@
 """Robustness: drift detection, replay-based continual learning,
 importance-weighted domain adaptation, and multi-scale pathways."""
 
-from .adaptation import (
-    DomainAdaptedRegressor,
-    density_ratio_weights,
-    weighted_ridge,
-)
-from .continual import ReplayContinualForecaster, evaluate_forgetting
-from .drift import DriftTriggeredRefit, KsDriftDetector, PageHinkleyDetector
-from .multiscale import MultiScalePathwaysForecaster
+from ... import _lazy
 
-__all__ = [
-    "DomainAdaptedRegressor",
-    "DriftTriggeredRefit",
-    "KsDriftDetector",
-    "MultiScalePathwaysForecaster",
-    "PageHinkleyDetector",
-    "ReplayContinualForecaster",
-    "density_ratio_weights",
-    "evaluate_forgetting",
-    "weighted_ridge",
-]
+__getattr__, __dir__, __all__ = _lazy.exports(__name__, {
+    "adaptation": (
+        "DomainAdaptedRegressor", "density_ratio_weights", "weighted_ridge",
+    ),
+    "continual": ("ReplayContinualForecaster", "evaluate_forgetting"),
+    "drift": ("DriftTriggeredRefit", "KsDriftDetector", "PageHinkleyDetector"),
+    "multiscale": ("MultiScalePathwaysForecaster",),
+})

@@ -1,12 +1,10 @@
 """Unified, fair benchmarking of analytics methods (FoundTS-style)
 plus the shared latency-summary harness used by serving benchmarks."""
 
-from .detection import DetectionLeaderboard
-from .harness import ForecastingLeaderboard
-from .latency import summarize_latencies
+from .. import _lazy
 
-__all__ = [
-    "DetectionLeaderboard",
-    "ForecastingLeaderboard",
-    "summarize_latencies",
-]
+__getattr__, __dir__, __all__ = _lazy.exports(__name__, {
+    "detection": ("DetectionLeaderboard",),
+    "harness": ("ForecastingLeaderboard",),
+    "latency": ("summarize_latencies",),
+})

@@ -42,9 +42,7 @@ import uuid
 
 from . import dag as _dag
 from .events import emit
-from .executors import resolve_executor
 from .report import RunReport
-from .scheduler import DagScheduler
 from .stage import Stage
 
 __all__ = ["DecisionPipeline"]
@@ -66,8 +64,12 @@ def _execute_run(title, stages, deps, state, *, cache=None,
     report's ``wall_seconds`` is the ``run_end`` stamp minus the
     ``run_start`` stamp.  Returns the finished :class:`RunReport`.
     """
+    # Deferred: building a pipeline needs neither a backend nor the
+    # scheduler; a process that never runs one does not load them.
     from ..observability.metrics import get_registry
     from ..observability.profiling import RunProfiler
+    from .executors import resolve_executor
+    from .scheduler import DagScheduler
     from .stage import RunDeadlineExceeded, StageFailure
 
     executor = resolve_executor(executor)

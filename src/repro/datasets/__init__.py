@@ -5,21 +5,14 @@ data source used by the paper's referenced systems (see DESIGN.md,
 "Substitutions").
 """
 
-from .anomalies import inject_anomalies, seasonal_series
-from .cloud import cloud_demand_dataset
-from .traffic import TrafficSimulator, diurnal_profile, traffic_speed_dataset
-from .trajectories import TrajectoryGenerator, simulate_trip
-from .waves import sparse_buoy_observations, wave_field_dataset
+from .. import _lazy
 
-__all__ = [
-    "TrafficSimulator",
-    "TrajectoryGenerator",
-    "cloud_demand_dataset",
-    "diurnal_profile",
-    "inject_anomalies",
-    "seasonal_series",
-    "simulate_trip",
-    "sparse_buoy_observations",
-    "traffic_speed_dataset",
-    "wave_field_dataset",
-]
+__getattr__, __dir__, __all__ = _lazy.exports(__name__, {
+    "anomalies": ("inject_anomalies", "seasonal_series"),
+    "cloud": ("cloud_demand_dataset",),
+    "traffic": (
+        "TrafficSimulator", "diurnal_profile", "traffic_speed_dataset",
+    ),
+    "trajectories": ("TrajectoryGenerator", "simulate_trip"),
+    "waves": ("sparse_buoy_observations", "wave_field_dataset"),
+})

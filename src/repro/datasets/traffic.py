@@ -24,7 +24,7 @@ import math
 import numpy as np
 
 from .._validation import check_positive, ensure_rng
-from ..datatypes import CorrelatedTimeSeries, RoadNetwork
+from ..datatypes import RoadNetwork
 
 __all__ = [
     "diurnal_profile",
@@ -137,6 +137,9 @@ def traffic_speed_dataset(
 
     speeds = np.clip(speeds, 3.0, None)
     timestamps = np.arange(n_steps, dtype=float) * interval_minutes
+    # Deferred: ``TrafficSimulator`` alone needs no series type.
+    from ..datatypes import CorrelatedTimeSeries
+
     return CorrelatedTimeSeries(speeds, adjacency=adjacency,
                                 timestamps=timestamps)
 

@@ -1,17 +1,12 @@
 """Data foundations (paper §II-A): the four data types of Definitions 1-4
 plus the road-network substrate the running examples live on."""
 
-from .correlated import CorrelatedTimeSeries
-from .image_sequence import ImageSequence
-from .roadnetwork import RoadNetwork
-from .timeseries import TimeSeries
-from .trajectory import GpsPoint, Trajectory
+from .. import _lazy
 
-__all__ = [
-    "CorrelatedTimeSeries",
-    "GpsPoint",
-    "ImageSequence",
-    "RoadNetwork",
-    "TimeSeries",
-    "Trajectory",
-]
+__getattr__, __dir__, __all__ = _lazy.exports(__name__, {
+    "correlated": ("CorrelatedTimeSeries",),
+    "image_sequence": ("ImageSequence",),
+    "roadnetwork": ("RoadNetwork",),
+    "timeseries": ("TimeSeries",),
+    "trajectory": ("GpsPoint", "Trajectory"),
+})

@@ -2,91 +2,36 @@
 uncertainty, multi-objective, personalized, and learning-based
 strategies, plus the scheduling and maintenance scenarios."""
 
-from .ecodriving import EcoDrivingPlanner, FuelModel
-from .imitation import ImitationRouter
-from .maintenance import (
-    PeriodicPolicy,
-    PredictivePolicy,
-    RunToFailurePolicy,
-    degradation_process,
-    simulate_maintenance,
-)
-from .pareto import (
-    SkylineRouter,
-    dominates,
-    pareto_front,
-    scalarize,
-    stochastic_pareto_front,
-)
-from .preference import ContextualPreferenceModel
-from .reduction import (
-    Reduction,
-    dtw_band_matrix,
-    fan_chart,
-    rank_plot,
-    reduce_scenarios,
-    wasserstein_distance,
-    wasserstein_matrix,
-)
-from .routing import StochasticRouter
-from .scheduling import (
-    FixedScaler,
-    PredictiveScaler,
-    ReactiveScaler,
-    simulate_scaling,
-)
-from .stochastic import (
-    dominance_prune,
-    first_order_dominates,
-    second_order_dominates,
-    select_best,
-)
-from .utility import (
-    DeadlineUtility,
-    RiskAverseUtility,
-    RiskNeutralUtility,
-    RiskSeekingUtility,
-    UtilityFunction,
-    certainty_equivalent,
-    expected_utility,
-)
+from .. import _lazy
 
-__all__ = [
-    "ContextualPreferenceModel",
-    "DeadlineUtility",
-    "EcoDrivingPlanner",
-    "FixedScaler",
-    "FuelModel",
-    "ImitationRouter",
-    "PeriodicPolicy",
-    "PredictivePolicy",
-    "PredictiveScaler",
-    "ReactiveScaler",
-    "Reduction",
-    "RiskAverseUtility",
-    "RiskNeutralUtility",
-    "RiskSeekingUtility",
-    "RunToFailurePolicy",
-    "SkylineRouter",
-    "StochasticRouter",
-    "UtilityFunction",
-    "certainty_equivalent",
-    "degradation_process",
-    "dominance_prune",
-    "dominates",
-    "dtw_band_matrix",
-    "expected_utility",
-    "fan_chart",
-    "first_order_dominates",
-    "pareto_front",
-    "rank_plot",
-    "reduce_scenarios",
-    "scalarize",
-    "second_order_dominates",
-    "select_best",
-    "simulate_maintenance",
-    "simulate_scaling",
-    "stochastic_pareto_front",
-    "wasserstein_distance",
-    "wasserstein_matrix",
-]
+__getattr__, __dir__, __all__ = _lazy.exports(__name__, {
+    "ecodriving": ("EcoDrivingPlanner", "FuelModel"),
+    "imitation": ("ImitationRouter",),
+    "maintenance": (
+        "PeriodicPolicy", "PredictivePolicy", "RunToFailurePolicy",
+        "degradation_process", "simulate_maintenance",
+    ),
+    "pareto": (
+        "SkylineRouter", "dominates", "pareto_front", "scalarize",
+        "stochastic_pareto_front",
+    ),
+    "preference": ("ContextualPreferenceModel",),
+    "reduction": (
+        "Reduction", "dtw_band_matrix", "fan_chart", "rank_plot",
+        "reduce_scenarios", "wasserstein_distance", "wasserstein_matrix",
+    ),
+    "routing": ("StochasticRouter",),
+    "scheduling": (
+        "FixedScaler", "PredictiveScaler", "ReactiveScaler",
+        "simulate_scaling",
+    ),
+    "stochastic": (
+        "dominance_prune", "first_order_dominates", "second_order_dominates",
+        "select_best",
+    ),
+    "utility": (
+        "DeadlineUtility", "RiskAverseUtility", "RiskNeutralUtility",
+        "RiskSeekingUtility", "UtilityFunction", "certainty_equivalent",
+        "expected_utility",
+    ),
+})

@@ -2,6 +2,10 @@
 analytics -- missing-value imputation, uncertainty quantification, and
 multi-modal fusion."""
 
-from . import fusion, imputation, uncertainty
+from .. import _lazy
 
-__all__ = ["fusion", "imputation", "uncertainty"]
+__getattr__, __dir__, __all__ = _lazy.exports(__name__, {
+    "fusion": ("fusion",),
+    "imputation": ("imputation",),
+    "uncertainty": ("uncertainty",),
+})

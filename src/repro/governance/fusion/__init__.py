@@ -1,17 +1,12 @@
 """Multi-modal fusion: alignment (map matching, embeddings) and
 feature-based fusion."""
 
-from .alignment import CcaAligner, procrustes_align, retrieval_accuracy
-from .features import add_time_features, align_series, fuse_series, weather_series
-from .map_matching import HmmMapMatcher
+from ... import _lazy
 
-__all__ = [
-    "CcaAligner",
-    "HmmMapMatcher",
-    "add_time_features",
-    "align_series",
-    "fuse_series",
-    "procrustes_align",
-    "retrieval_accuracy",
-    "weather_series",
-]
+__getattr__, __dir__, __all__ = _lazy.exports(__name__, {
+    "alignment": ("CcaAligner", "procrustes_align", "retrieval_accuracy"),
+    "features": (
+        "add_time_features", "align_series", "fuse_series", "weather_series",
+    ),
+    "map_matching": ("HmmMapMatcher",),
+})

@@ -1,26 +1,14 @@
 """Missing-value imputation: temporal, spatial, and spatio-temporal."""
 
-from .spatial import GcnCompleter, LabelPropagationCompleter, line_graph_adjacency
-from .spatiotemporal import ODMatrixCompleter, complete_field
-from .temporal import (
-    KalmanImputer,
-    StreamingImputer,
-    backcast,
-    impute_linear,
-    impute_locf,
-    impute_seasonal,
-)
+from ... import _lazy
 
-__all__ = [
-    "GcnCompleter",
-    "KalmanImputer",
-    "LabelPropagationCompleter",
-    "ODMatrixCompleter",
-    "StreamingImputer",
-    "complete_field",
-    "backcast",
-    "impute_linear",
-    "impute_locf",
-    "impute_seasonal",
-    "line_graph_adjacency",
-]
+__getattr__, __dir__, __all__ = _lazy.exports(__name__, {
+    "spatial": (
+        "GcnCompleter", "LabelPropagationCompleter", "line_graph_adjacency",
+    ),
+    "spatiotemporal": ("ODMatrixCompleter", "complete_field"),
+    "temporal": (
+        "KalmanImputer", "StreamingImputer", "backcast", "impute_linear",
+        "impute_locf", "impute_seasonal",
+    ),
+})

@@ -1,19 +1,12 @@
 """Uncertainty quantification: cost distributions and the edge-centric
 vs. path-centric travel-time paradigms."""
 
-from .distributions import GaussianMixture, Histogram
-from .travel_time import (
-    EdgeCentricModel,
-    PathCentricModel,
-    TimeVaryingDistribution,
-    wasserstein_distance,
-)
+from ... import _lazy
 
-__all__ = [
-    "EdgeCentricModel",
-    "GaussianMixture",
-    "Histogram",
-    "PathCentricModel",
-    "TimeVaryingDistribution",
-    "wasserstein_distance",
-]
+__getattr__, __dir__, __all__ = _lazy.exports(__name__, {
+    "distributions": ("GaussianMixture", "Histogram"),
+    "travel_time": (
+        "EdgeCentricModel", "PathCentricModel", "TimeVaryingDistribution",
+        "wasserstein_distance",
+    ),
+})

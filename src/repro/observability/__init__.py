@@ -22,31 +22,13 @@ verifiable at run time through three complementary surfaces:
 See ``docs/OBSERVABILITY.md`` for the metric-name table and formats.
 """
 
-from .metrics import (
-    DEFAULT_BUCKETS,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    get_registry,
-    set_registry,
-    use_registry,
-)
-from .profiling import RunProfiler, StageProfile
-from .tracing import Span, SpanTracer, TeeTracer
+from .. import _lazy
 
-__all__ = [
-    "DEFAULT_BUCKETS",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "RunProfiler",
-    "Span",
-    "SpanTracer",
-    "StageProfile",
-    "TeeTracer",
-    "get_registry",
-    "set_registry",
-    "use_registry",
-]
+__getattr__, __dir__, __all__ = _lazy.exports(__name__, {
+    "metrics": (
+        "DEFAULT_BUCKETS", "Counter", "Gauge", "Histogram", "MetricsRegistry",
+        "get_registry", "set_registry", "use_registry",
+    ),
+    "profiling": ("RunProfiler", "StageProfile"),
+    "tracing": ("Span", "SpanTracer", "TeeTracer"),
+})

@@ -7,20 +7,12 @@ per-request deadline budgets, and sheds load it cannot serve in time
 instead of queueing doomed work.  ``docs/SERVING.md`` is the guide.
 """
 
-from .requests import (
-    DistanceQuery,
-    MatchQuery,
-    Overloaded,
-    RouteQuery,
-    ServeResult,
-)
-from .server import DecisionServer
+from .. import _lazy
 
-__all__ = [
-    "DecisionServer",
-    "DistanceQuery",
-    "MatchQuery",
-    "Overloaded",
-    "RouteQuery",
-    "ServeResult",
-]
+__getattr__, __dir__, __all__ = _lazy.exports(__name__, {
+    "requests": (
+        "DistanceQuery", "MatchQuery", "Overloaded", "RouteQuery",
+        "ServeResult",
+    ),
+    "server": ("DecisionServer",),
+})

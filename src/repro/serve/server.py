@@ -49,7 +49,6 @@ from concurrent.futures import Future
 from dataclasses import dataclass, field
 from typing import Any
 
-from ..core import RunDeadlineExceeded
 from .requests import (
     DistanceQuery,
     MatchQuery,
@@ -487,6 +486,9 @@ class DecisionServer:
             "RouteQuery, MatchQuery or DistanceQuery")
 
     def _expired_result(self, pending):
+        # Deferred: only an expired request needs the engine's errors.
+        from ..core.stage import RunDeadlineExceeded
+
         budget = pending.deadline_at - pending.enqueued_at
         return ServeResult(
             op=pending.op, outcome="deadline_exceeded",

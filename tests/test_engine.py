@@ -337,6 +337,53 @@ class TestScheduler:
                 for name in ("next", "last")] == ["run aborted"] * 2
 
 
+class TestCriticalPathUnderSerial:
+    """The report's critical path stays truthful when nothing overlaps:
+    it is the recorded DAG weighted by the recorded durations."""
+
+    @staticmethod
+    def recomputed(report):
+        index = {name: i for i, (name, _) in enumerate(report.dag)}
+        durations = [report.record(name).duration_seconds
+                     for name, _ in report.dag]
+        deps = [{index[dep] for dep in dep_names}
+                for _, dep_names in report.dag]
+        return critical_path_seconds(durations, deps)
+
+    def test_fan_out_fan_in(self):
+        pipeline = DecisionPipeline()
+        pipeline.add_data("load", lambda s: s.update(x=1) or "loaded",
+                          reads=(), writes=("x",))
+        for key in ("a", "b"):
+            pipeline.add_governance(
+                f"g_{key}", lambda s, key=key: s.update({key: 1}) or key,
+                reads=("x",), writes=(key,))
+        pipeline.add_decision("join", lambda s: "joined",
+                              reads=("a", "b"), writes=())
+        _, report = pipeline.run(executor="serial")
+        assert dict(report.dag) == {"load": (), "g_a": ("load",),
+                                    "g_b": ("load",),
+                                    "join": ("g_a", "g_b")}
+        seconds = {r.name: r.duration_seconds for r in report.records}
+        assert report.critical_path_seconds == self.recomputed(report)
+        assert report.critical_path_seconds == pytest.approx(
+            seconds["load"] + max(seconds["g_a"], seconds["g_b"])
+            + seconds["join"])
+
+    def test_chain_is_its_total(self):
+        pipeline = DecisionPipeline()
+        previous = ()
+        for name in ("a", "b", "c"):
+            pipeline.add_governance(name, lambda s, name=name: name,
+                                    reads=previous, writes=(name,))
+            previous = (name,)
+        _, report = pipeline.run(executor="serial")
+        assert dict(report.dag) == {"a": (), "b": ("a",), "c": ("b",)}
+        assert report.critical_path_seconds == self.recomputed(report)
+        assert report.critical_path_seconds == pytest.approx(
+            report.total_seconds)
+
+
 # -- failure policies -------------------------------------------------------
 
 

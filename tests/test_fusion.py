@@ -1,10 +1,5 @@
 """Tests for map matching, feature fusion and embedding alignment."""
 
-import os
-import pathlib
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 
@@ -167,23 +162,6 @@ class TestAlignment:
         zx = aligner.transform_x(x)[:, 0]
         zy = aligner.transform_y(y)[:, 0]
         assert abs(np.corrcoef(zx, zy)[0, 1]) > 0.95
-
-    def test_import_repro_loads_no_scipy(self):
-        # CcaAligner.fit imports scipy.linalg at its call site, so
-        # ``import repro`` (and every process-executor worker) skips
-        # scipy entirely.
-        src = pathlib.Path(__file__).resolve().parent.parent / "src"
-        path = os.pathsep.join(
-            filter(None, [str(src), os.environ.get("PYTHONPATH")]))
-        result = subprocess.run(
-            [sys.executable, "-c",
-             "import sys, repro; print(sorted(m for m in sys.modules "
-             "if m.split('.')[0] == 'scipy'))"],
-            capture_output=True, text=True, timeout=120,
-            env={**os.environ, "PYTHONPATH": path},
-        )
-        assert result.returncode == 0, result.stderr[-2000:]
-        assert result.stdout.strip() == "[]"
 
     def test_cca_unfitted_raises(self):
         with pytest.raises(RuntimeError):
