@@ -17,6 +17,7 @@ __all__ = [
     "check_finite_points",
     "check_fraction",
     "check_positive",
+    "check_positive_int",
     "check_non_negative",
     "check_probability_vector",
     "ensure_rng",
@@ -102,6 +103,15 @@ def check_positive(value, name):
     if not value > 0:
         raise ValueError(f"{name} must be > 0, got {value!r}")
     return value
+
+
+def check_positive_int(value, name):
+    """Validate that ``value`` is an integer >= 1 (``bool`` is not)."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+        raise TypeError(f"{name} must be an integer, got {type(value).__name__}")
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1, got {value!r}")
+    return int(value)
 
 
 def check_non_negative(value, name):

@@ -7,7 +7,8 @@ run; an :class:`Executor` decides *where*.  Three backends ship:
   that are ready together fan out over a thread pool, while a lone
   ready stage runs inline on the calling thread.  Right for I/O-bound
   and GIL-releasing (large-numpy) stages; pure-Python CPU work
-  serializes on the GIL.
+  serializes on the GIL, so stages seen to gain nothing from the pool
+  move to the calling thread (see :mod:`repro.core.scheduler`).
 * :class:`ProcessExecutor` — stage attempts run in worker *processes*,
   so CPU-bound Python stages scale with cores.  Stage inputs ship by
   value, except large contiguous ndarrays, which cross zero-copy
@@ -291,6 +292,15 @@ def _remote_attempt(request):
 # Executor protocol and the in-process backends
 # ---------------------------------------------------------------------------
 
+def _check_workers(max_workers):
+    """``max_workers`` as a positive int, or ``None`` (the default)."""
+    if max_workers is None:
+        return None
+    from .._validation import check_positive_int
+
+    return check_positive_int(max_workers, "max_workers")
+
+
 class Executor:
     """Where stage attempts run.  Subclasses override :meth:`begin_run`."""
 
@@ -355,14 +365,14 @@ class ThreadExecutor(Executor):
     Stages that are ready together run in worker threads of this
     process against the shared state dict (under the run lock), so
     there is no serialization cost — and no escape from the GIL for
-    pure-Python CPU-bound stages.  A lone ready stage skips the pool.
+    pure-Python CPU-bound stages.  A lone ready stage skips the pool,
+    and so do stages whose overlap bought nothing in earlier runs.
     """
 
     kind = "thread"
 
     def __init__(self, max_workers=None):
-        self.max_workers = (None if max_workers is None
-                            else int(max_workers))
+        self.max_workers = _check_workers(max_workers)
 
     def begin_run(self, stages, *, max_workers=None, metrics=None):
         workers = (self.max_workers or max_workers
@@ -517,8 +527,8 @@ class ProcessExecutor(Executor):
             raise ValueError(
                 "on_unpicklable must be 'local' or 'error', got "
                 f"{on_unpicklable!r}")
-        self.max_workers = (int(max_workers) if max_workers is not None
-                            else (os.cpu_count() or 1))
+        self.max_workers = (_check_workers(max_workers)
+                            or os.cpu_count() or 1)
         self.on_unpicklable = on_unpicklable
         self._pool = None
         self._pool_lock = threading.Lock()  # noqa: RC034 -- owns the worker pool; orchestrator is process-local

@@ -52,7 +52,7 @@ def _execute_run(title, stages, deps, state, *, cache=None,
                  cache_keys=None, tracer=None, max_workers=None,
                  deadline=None, copy_on_read=False, metrics=None,
                  profile=False, executor=None, run_id=None,
-                 run_data=None):
+                 run_data=None, placement=None):
     """One scheduled run over prepared stages: the shared engine core.
 
     Both :meth:`DecisionPipeline.run` and every
@@ -72,6 +72,7 @@ def _execute_run(title, stages, deps, state, *, cache=None,
     from .scheduler import DagScheduler
     from .stage import RunDeadlineExceeded, StageFailure
 
+    scheduler = DagScheduler(max_workers=max_workers)
     executor = resolve_executor(executor)
     run_id = uuid.uuid4().hex[:12] if run_id is None else str(run_id)
     report = RunReport(title=title)
@@ -86,7 +87,6 @@ def _execute_run(title, stages, deps, state, *, cache=None,
     started = time.perf_counter()
     emit(tracer, "run_start", monotonic=started, stages=len(stages),
          run_id=run_id, executor=executor.kind, **dict(run_data or {}))
-    scheduler = DagScheduler(max_workers=max_workers)
     run_status = "ok"
     try:
         scheduler.execute(stages, deps, state, report,
@@ -95,7 +95,7 @@ def _execute_run(title, stages, deps, state, *, cache=None,
                           copy_on_read=copy_on_read,
                           metrics=metrics, profiler=profiler,
                           executor=executor, run_id=run_id,
-                          cache_keys=cache_keys)
+                          cache_keys=cache_keys, placement=placement)
     except RunDeadlineExceeded:
         run_status = "deadline_exceeded"
         raise
@@ -140,6 +140,9 @@ class DecisionPipeline:
     def __init__(self, title="data-governance-analytics-decision"):
         self.title = str(title)
         self._stages = {layer: [] for layer in self._LAYERS}
+        # Stages the pool bought nothing for, kept across runs and
+        # ticks (see repro.core.scheduler).
+        self._placement = {}
 
     # -- construction -------------------------------------------------------
 
@@ -335,7 +338,8 @@ class DecisionPipeline:
                               deadline=deadline,
                               copy_on_read=copy_on_read,
                               metrics=metrics, profile=profile,
-                              executor=executor, run_id=run_id)
+                              executor=executor, run_id=run_id,
+                              placement=self._placement)
         return state, report
 
     def stream(self, initial_state=None, *, tracer=None,
@@ -353,8 +357,10 @@ class DecisionPipeline:
         ``deadline=`` / ``run_id=`` are passed to ``tick`` itself.
         See ``docs/STREAMING.md``.
         """
+        from .executors import _check_workers
         from .streaming import IncrementalSession
 
+        _check_workers(max_workers)
         stages = self._ordered_stages()
         if not stages:
             raise RuntimeError("pipeline has no stages")

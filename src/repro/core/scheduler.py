@@ -16,7 +16,11 @@ A ready stage runs inline on the calling thread when it is the only
 ready stage and nothing is in flight — every stage of a linear
 chain, for instance — or when the backend has no pool (serial, which
 takes the lowest ready index first and so runs in index order).
-Only stages that can overlap go to the session's pool.
+Only stages that can overlap go to the session's pool, and only while
+that pays: once an *overlap episode* (the pool's first future until
+nothing is in flight) shows its members busy on about one core in all,
+later runs place them on the calling thread, one at a time, while
+stages that wait keep overlapping them from the pool.
 
 Execution is *transactional*: each attempt runs against a buffering
 :class:`~repro.core.stage._ContractView` and its writes (including
@@ -89,17 +93,31 @@ __all__ = ["DagScheduler"]
 #: Upper bound on a single backoff sleep, seconds.
 BACKOFF_CAP = 2.0
 
+#: Overlap bought nothing when the members' thread CPU over the
+#: episode's wall lies in these bounds: GIL-bound stages share one core,
+#: more means they ran in parallel, less that they waited on something.
+_ONE_CORE = (0.75, 1.25)
+#: ... every member spent this share of its wall on CPU (one that waits
+#: on I/O, sleeps or a worker process reads about 0) ...
+_BUSY_SHARE = 0.1
+#: ... and the episode outlasted the pool hand-off, whose own cost makes
+#: a stage waiting for its peer's thread to start read as busy.
+_MIN_EPISODE_SECONDS = 0.002
+#: A stage whose inline run spent less than this share of its wall on
+#: CPU goes back to the pool.
+_WAITED_SHARE = 0.5
+
 
 class DagScheduler:
     """Executes a resolved stage DAG against a shared state dict."""
 
     def __init__(self, max_workers=None):
-        self.max_workers = max_workers
+        self.max_workers = _executors._check_workers(max_workers)
 
     def execute(self, stages, deps, state, report, *, cache=None,
                 tracer=None, deadline=None, copy_on_read=False,
                 metrics=None, profiler=None, executor=None,
-                run_id=None, cache_keys=None):
+                run_id=None, cache_keys=None, placement=None):
         """Run all stages; mutates ``state`` and ``report`` in place.
 
         ``executor`` selects the backend (an
@@ -109,7 +127,8 @@ class DagScheduler:
         stage) overrides content-keying entirely — streaming sessions
         key a plain dict of records by stage name, so no
         fingerprinting of the initial state ever happens on the tick
-        path.
+        path.  ``placement`` is the ``{stage name: True}`` dict of
+        stages to run on the calling thread, which the run updates.
         """
         executor = _executors.resolve_executor(executor)
         lock = threading.RLock()
@@ -132,33 +151,51 @@ class DagScheduler:
                                copy_on_read=copy_on_read,
                                metrics=metrics, profiler=profiler,
                                session=session, run_id=run_id)
-            self._drive(stages, deps, run, control, session)
+            self._drive(stages, deps, run, control, session,
+                        {} if placement is None else placement)
         finally:
             session.finish()
 
-    def _drive(self, stages, deps, run, control, session):
+    def _drive(self, stages, deps, run, control, session, placement):
         """The one scheduling loop, for every backend and DAG shape."""
         frontier = _dag.Frontier(deps)
         for index in frontier.ready:
             run.mark_ready(index)
         failures = []
         futures = {}
+        episode = None  # (start stamp, members) while the pool is busy
         while True:
             ready = ([] if failures or control.cancelled
                      else frontier.ready)
             if not ready and not futures:
                 break
-            if not futures and (len(ready) == 1 or session.pool is None):
-                index = min(ready)
+            inline = (list(ready) if session.pool is None
+                      or (not futures and len(ready) == 1)
+                      else [i for i in ready if stages[i].name in placement])
+            for index in [i for i in ready if i not in inline]:
                 frontier.claim(index)
-                done = [(index, _run_inline(run, index))]
+                futures[session.pool.submit(run, index)] = index
+                episode = episode or (time.perf_counter(), set())
+                episode[1].add(index)
+            done = []
+            if inline:
+                index = min(inline)
+                frontier.claim(index)
+                if episode:
+                    episode[1].add(index)
+                done.append((index, _run_inline(run, index)))
+                cpu, wall = run.usage.get(index, (1, 1))
+                if cpu < _WAITED_SHARE * wall:
+                    placement.pop(stages[index].name, None)
+                finished = [future for future in futures
+                            if future.done()]
             else:
-                for index in list(ready):
-                    frontier.claim(index)
-                    futures[session.pool.submit(run, index)] = index
                 finished, _ = wait(futures, return_when=FIRST_COMPLETED)
-                done = [(futures.pop(future), future.exception())
-                        for future in finished]
+            done += [(futures.pop(future), future.exception())
+                     for future in finished]
+            if episode and not futures:
+                _settle_episode(placement, stages, run.usage, *episode)
+                episode = None
             for index, error in done:
                 if error is not None:
                     failures.append(error)
@@ -200,10 +237,33 @@ def _run_inline(run, index):
     return None
 
 
-#: One execution of one stage: its start stamp (``None`` for a stage
+def _reading(name, cpu, wall):
+    """A stage run's ``(cpu, wall)`` seconds as placement reads them;
+    tests replace it to script readings without timing anything."""
+    return cpu, wall
+
+
+def _settle_episode(placement, stages, usage, start, members):
+    """Place an overlap episode's members on the calling thread when
+    overlapping them bought nothing (see ``_ONE_CORE``)."""
+    readings = [usage.get(index) for index in members]
+    if None in readings:  # a member never started: nothing to learn
+        return
+    # An episode lasts at least as long as its longest member.
+    wall = max([time.perf_counter() - start]
+               + [seconds for _, seconds in readings])
+    cores = sum(cpu for cpu, _ in readings) / wall
+    if (wall >= _MIN_EPISODE_SECONDS
+            and _ONE_CORE[0] <= cores <= _ONE_CORE[1]
+            and all(cpu >= _BUSY_SHARE * seconds
+                    for cpu, seconds in readings)):
+        placement.update((stages[index].name, True) for index in members)
+
+
+#: One execution of one stage: its start stamps (``None`` for a stage
 #: cancelled before it started, whose duration is zero) and profile.
-_StageRun = collections.namedtuple("_StageRun", "stage index start token",
-                                   defaults=(None, None, None))
+_StageRun = collections.namedtuple(
+    "_StageRun", "stage index start cpu token", defaults=(None,) * 4)
 
 
 class _StageRunner:
@@ -214,10 +274,12 @@ class _StageRunner:
     stamp in :meth:`_finish`.  Their difference is the stage's only
     duration — report record, terminal event, span,
     ``engine.stage_duration_seconds`` and profile all carry it.
+    A ``thread_time`` stamp beside each gives the stage's CPU time,
+    for the profile and for :attr:`usage`, ``{index: (cpu, wall)}``.
     Attempts, retries and outcomes are counted into the run's
     :class:`~repro.observability.MetricsRegistry` (when given); a
-    :class:`~repro.observability.RunProfiler` (when given) adds CPU
-    and memory deltas.
+    :class:`~repro.observability.RunProfiler` (when given) adds
+    memory deltas.
     """
 
     def __init__(self, stages, state, report, lock, cache, keys,
@@ -238,6 +300,7 @@ class _StageRunner:
                          else _executors._Session())
         self._run_id = "" if run_id is None else str(run_id)
         self._ready = {}
+        self.usage = {}
         if metrics is not None:
             self._m_attempts = metrics.counter(
                 "engine.stage_attempts_total",
@@ -270,6 +333,7 @@ class _StageRunner:
     def __call__(self, index):
         stage = self._stages[index]
         start = time.perf_counter()
+        cpu = time.thread_time()
         with self._lock:
             ready = self._ready.pop(index, start)
         try:
@@ -288,7 +352,7 @@ class _StageRunner:
         token = (self._profiler.stage_begin(stage.name, stage.layer,
                                             queue_wait)
                  if self._profiler is not None else None)
-        run = _StageRun(stage, index, start, token)
+        run = _StageRun(stage, index, start, cpu, token)
         if self._replay_from_cache(run):
             return
         emit(self._tracer, "stage_start", stage.name, stage.layer,
@@ -383,7 +447,10 @@ class _StageRunner:
         excepted), report record and profile."""
         stage = run.stage
         end = time.perf_counter()
-        seconds = 0.0 if run.start is None else end - run.start
+        seconds = cpu = 0.0
+        if run.start is not None:
+            seconds, cpu = end - run.start, time.thread_time() - run.cpu
+            self.usage[run.index] = _reading(stage.name, cpu, seconds)
         emit(self._tracer, kind, stage.name, stage.layer,
              monotonic=end, seconds=seconds, **dict(event))
         if self._m_outcomes is not None:
@@ -395,7 +462,8 @@ class _StageRunner:
                             details, status=status, **record)
         if run.token is not None:
             self._profiler.stage_end(
-                run.token, seconds, self._session.worker_cpu(run.index))
+                run.token, seconds,
+                cpu + self._session.worker_cpu(run.index))
 
     def record_cancelled(self, stage, why):
         """Record a stage the abort kept from starting (zero duration)."""

@@ -290,7 +290,8 @@ class IncrementalSession:
                 max_workers=self._max_workers, deadline=deadline,
                 copy_on_read=self._copy_on_read, metrics=metrics,
                 executor=self._executor, run_id=run_id,
-                run_data={"tick": number})
+                run_data={"tick": number},
+                placement=self._pipeline._placement)
         except RunDeadlineExceeded:
             status = "deadline_exceeded"
             raise

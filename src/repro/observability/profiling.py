@@ -6,8 +6,9 @@ to the scheduler; for every stage it records
 * ``wall_seconds`` — the scheduler's start→terminal interval, the
   same float as the report record, histogram and span (the profiler
   has no wall clock of its own),
-* ``cpu_seconds`` — CPU time consumed by the executing thread
-  (``time.thread_time``), so a stage that sleeps or waits on I/O
+* ``cpu_seconds`` — CPU time consumed by the executing thread over
+  the same interval (the scheduler's ``time.thread_time`` stamps
+  beside its wall stamps), so a stage that sleeps or waits on I/O
   shows a wall/CPU gap, plus worker-process CPU time summed over
   attempts on the process backend,
 * ``queue_wait_seconds`` — how long the stage sat ready in the
@@ -17,13 +18,13 @@ to the scheduler; for every stage it records
   above the stage's baseline, in the parent process only.
 
 Memory is recorded only when the caller already has ``tracemalloc``
-running; the profiler never starts, stops or resets it, so a profiled
-run costs a CPU clock read per stage and the allocation fields read 0
-otherwise.  The interpreter-wide peak is shared by everything the
-caller traces, so a stage's ``peak_alloc_bytes`` is an upper bound
-that may include other allocations (other stages under concurrency,
-or anything traced before the stage began) — documented,
-deterministic behaviour rather than a lie of precision.
+running; the profiler never starts, stops or resets it, and the
+allocation fields read 0 otherwise.  The interpreter-wide peak is
+shared by everything the caller traces, so a stage's
+``peak_alloc_bytes`` is an upper bound that may include other
+allocations (other stages under concurrency, or anything traced
+before the stage began) — documented, deterministic behaviour rather
+than a lie of precision.
 
 Results land on :attr:`RunReport.profiles` as plain dicts, render in
 :meth:`RunReport.render`, and are dumpable via ``python -m
@@ -32,8 +33,8 @@ repro.trace``.
 
 from __future__ import annotations
 
+import collections
 import threading
-import time
 import tracemalloc
 
 __all__ = ["RunProfiler", "StageProfile"]
@@ -77,17 +78,9 @@ class StageProfile:
                 f"peak={self.peak_alloc_bytes}B)")
 
 
-class _StageToken:
-    """Baseline measurements captured when a stage begins executing."""
-
-    __slots__ = ("stage", "layer", "queue_wait", "cpu0", "mem0")
-
-    def __init__(self, stage, layer, queue_wait, mem0):
-        self.stage = stage
-        self.layer = layer
-        self.queue_wait = queue_wait
-        self.cpu0 = time.thread_time()
-        self.mem0 = mem0
+#: Baselines captured when a stage begins executing.
+_StageToken = collections.namedtuple("_StageToken",
+                                     "stage layer queue_wait mem0")
 
 
 class RunProfiler:
@@ -95,9 +88,9 @@ class RunProfiler:
 
     The scheduler calls :meth:`stage_begin` in the worker thread just
     before a stage's first attempt and :meth:`stage_end` when the
-    stage reaches any terminal outcome; both are cheap (a CPU clock
-    read, plus a ``tracemalloc.get_traced_memory`` call when the caller
-    traces).
+    stage reaches any terminal outcome, handing over its own wall and
+    CPU figures; both are cheap (a ``tracemalloc.get_traced_memory``
+    call when the caller traces, else nothing).
     """
 
     def __init__(self):
@@ -121,12 +114,11 @@ class RunProfiler:
                 if tracemalloc.is_tracing() else 0)
         return _StageToken(stage, layer, queue_wait, mem0)
 
-    def stage_end(self, token, wall_seconds, worker_cpu):
+    def stage_end(self, token, wall_seconds, cpu_seconds):
         """Close a token and record the stage's profile, given the
-        scheduler's duration and any worker-process CPU time."""
+        scheduler's duration and CPU time (worker processes' included)."""
         if token is None or not self._active:
             return None
-        cpu = time.thread_time() - token.cpu0 + worker_cpu
         if tracemalloc.is_tracing():
             current, peak = tracemalloc.get_traced_memory()
             net = current - token.mem0
@@ -134,7 +126,8 @@ class RunProfiler:
         else:
             net = peak_delta = 0
         profile = StageProfile(token.stage, token.layer, wall_seconds,
-                               cpu, token.queue_wait, net, peak_delta)
+                               cpu_seconds, token.queue_wait, net,
+                               peak_delta)
         with self._lock:
             self._profiles[token.stage] = profile
         return profile

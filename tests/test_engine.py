@@ -21,6 +21,7 @@ from repro.core import (
     StageCache,
     StageFailure,
 )
+from repro.core import scheduler
 from repro.core.dag import critical_path_seconds
 from repro.core.stage import Stage
 
@@ -186,7 +187,9 @@ class TestScheduler:
     def test_independent_stages_run_concurrently(self):
         # The acceptance criterion: contract-independent governance
         # stages are in flight together -- all three must pass one
-        # barrier, which no sequential schedule can get through.
+        # barrier, which no sequential schedule can get through.  Run
+        # three times on one pipeline: stages that wait stay in the
+        # pool however often they run.
         barrier = threading.Barrier(3, timeout=5)
 
         def gated(key):
@@ -205,9 +208,10 @@ class TestScheduler:
         pipeline.add_decision("join",
                               lambda s: f"{s['a']}{s['b']}{s['c']}",
                               reads=("a", "b", "c"), writes=())
-        state, report = pipeline.run(executor="thread")
-        assert state["a"] and state["b"] and state["c"]
-        assert report.critical_path_seconds < report.total_seconds
+        for _ in range(3):
+            state, report = pipeline.run(executor="thread")
+            assert state["a"] and state["b"] and state["c"]
+            assert report.critical_path_seconds < report.total_seconds
 
     def test_concurrent_stages_see_consistent_state(self):
         barrier = threading.Barrier(2, timeout=5)
@@ -226,8 +230,9 @@ class TestScheduler:
                                 reads=("x",), writes=("a",))
         pipeline.add_governance("g2", worker("b"),
                                 reads=("x",), writes=("b",))
-        state, _ = pipeline.run(executor="thread")
-        assert state["a"] == state["b"] == 2
+        for _ in range(3):
+            state, _ = pipeline.run(executor="thread")
+            assert state["a"] == state["b"] == 2
 
     def test_wildcard_pipeline_runs_sequentially(self):
         active = []
@@ -383,6 +388,104 @@ class TestCriticalPathUnderSerial:
         assert report.critical_path_seconds == pytest.approx(
             report.total_seconds)
 
+
+class TestPlacement:
+    """Where the thread backend runs stages it has seen overlap.
+
+    Every case scripts the ``(cpu, wall)`` seconds the placement
+    policy reads for ``g1`` and ``g2``, so nothing is timed, and reads
+    placement off the thread each stage ran on.
+    """
+
+    BUSY = (0.5, 1.0)      # half a core each: a busy pair is one core
+    WAITING = (0.02, 1.0)  # 2 % of its wall on CPU
+    SPINNING = (1.0, 1.0)  # a whole core
+
+    @pytest.fixture
+    def readings(self, monkeypatch):
+        """``{stage name: (cpu, wall)}``; unscripted stages read real
+        clocks."""
+        script = {}
+        monkeypatch.setattr(
+            scheduler, "_reading",
+            lambda name, cpu, wall: script.get(name, (cpu, wall)))
+        return script
+
+    @staticmethod
+    def fork_join():
+        """``load`` → ``g1``, ``g2`` (ready together) → ``join``, and
+        the thread each stage last ran on."""
+        threads = {}
+
+        def stage(name, key):
+            def run(s):
+                threads[name] = threading.get_ident()
+                s[key] = 1
+                return name
+            return run
+
+        pipeline = DecisionPipeline()
+        pipeline.add_data("load", stage("load", "x"), reads=(),
+                          writes=("x",))
+        pipeline.add_governance("g1", stage("g1", "a"), reads=("x",),
+                                writes=("a",))
+        pipeline.add_governance("g2", stage("g2", "b"), reads=("x",),
+                                writes=("b",))
+        pipeline.add_decision("join", stage("join", "y"),
+                              reads=("a", "b"), writes=("y",))
+        return pipeline, threads
+
+    @staticmethod
+    def where(threads, name):
+        return "caller" if threads[name] == threading.get_ident() \
+            else "pool"
+
+    def test_first_run_uses_the_pool(self, readings):
+        readings.update(g1=self.BUSY, g2=self.BUSY)
+        pipeline, threads = self.fork_join()
+        pipeline.run(executor="thread")
+        assert [self.where(threads, name)
+                for name in ("load", "g1", "g2", "join")] == \
+            ["caller", "pool", "pool", "caller"]
+
+    def test_busy_pair_moves_to_the_caller(self, readings):
+        readings.update(g1=self.BUSY, g2=self.BUSY)
+        pipeline, threads = self.fork_join()
+        pipeline.run(executor="thread")
+        pipeline.run(executor="thread")
+        assert self.where(threads, "g1") == "caller"
+        assert self.where(threads, "g2") == "caller"
+        # Stream sessions share what run() learned.
+        pipeline.stream(executor="thread").tick()
+        assert self.where(threads, "g1") == "caller"
+        assert self.where(threads, "g2") == "caller"
+
+    @pytest.mark.parametrize("g1, g2", [
+        (WAITING, BUSY),      # one waits: overlap hides its wait
+        (WAITING, WAITING),   # both wait
+        (SPINNING, SPINNING),  # two cores' worth: truly parallel
+        ((0.2, 1.0), (0.2, 1.0)),  # busy, but waiting on each other
+    ], ids=["waiting-and-busy", "waiting-and-waiting", "two-cores",
+            "rendezvous"])
+    def test_pairs_that_gain_stay_in_the_pool(self, readings, g1, g2):
+        readings.update(g1=g1, g2=g2)
+        pipeline, threads = self.fork_join()
+        for _ in range(3):
+            pipeline.run(executor="thread")
+            assert self.where(threads, "g1") == "pool"
+            assert self.where(threads, "g2") == "pool"
+
+    def test_caller_stage_that_waited_returns_to_the_pool(self,
+                                                          readings):
+        readings.update(g1=self.BUSY, g2=self.BUSY)
+        pipeline, threads = self.fork_join()
+        pipeline.run(executor="thread")
+        readings["g1"] = (0.4, 1.0)  # more than half its wall off CPU
+        pipeline.run(executor="thread")
+        assert self.where(threads, "g1") == "caller"
+        pipeline.run(executor="thread")
+        assert self.where(threads, "g1") == "pool"
+        assert self.where(threads, "g2") == "caller"
 
 # -- failure policies -------------------------------------------------------
 

@@ -42,6 +42,7 @@ from repro.core.executors import (
     resolve_executor,
 )
 from repro.core.faults import FaultInjector, attempt_jitter, attempt_seed
+from repro.core.scheduler import DagScheduler
 from repro.core.stage import ContractViolation
 from repro.observability.metrics import MetricsRegistry, use_registry
 
@@ -180,6 +181,42 @@ class TestResolveExecutor:
         assert SerialExecutor.kind == "serial"
         assert ThreadExecutor.kind == "thread"
         assert ProcessExecutor.kind == "process"
+
+
+class TestWorkerCounts:
+    """A worker count is checked where it is given, never by the run
+    it would configure: a ``skip`` or ``fallback`` policy must not
+    absorb a configuration error as a stage failure."""
+
+    @staticmethod
+    def skipping_pipeline():
+        pipeline = DecisionPipeline()
+        pipeline.add_data("a", s_ok, reads=(), writes=("ok",),
+                          on_error="skip")
+        return pipeline
+
+    @pytest.mark.parametrize("value, error", [
+        (0, ValueError), (-1, ValueError), (2.5, TypeError),
+        (True, TypeError)])
+    @pytest.mark.parametrize("make", [
+        ThreadExecutor,
+        ProcessExecutor,
+        DagScheduler,
+        lambda workers: TestWorkerCounts.skipping_pipeline().run(
+            max_workers=workers),
+        lambda workers: TestWorkerCounts.skipping_pipeline().stream(
+            max_workers=workers),
+    ], ids=["ThreadExecutor", "ProcessExecutor", "DagScheduler",
+            "run", "stream"])
+    def test_rejected_at_the_call(self, make, value, error):
+        with pytest.raises(error, match="max_workers"):
+            make(value)
+
+    def test_valid_counts_are_kept(self):
+        assert ThreadExecutor(2).max_workers == 2
+        assert ThreadExecutor().max_workers is None
+        assert ProcessExecutor(np.int64(3)).max_workers == 3
+        assert DagScheduler(1).max_workers == 1
 
 
 # -- backend equivalence -----------------------------------------------------

@@ -232,6 +232,61 @@ class TestDifferentialHarness:
         assert total > 0, "no stage was ever replayed from its delta"
 
 
+class TestPlacementDifferential:
+    """The thread backend's learned placement moves stages between the
+    pool and the calling thread; what a tick computes never moves."""
+
+    @staticmethod
+    def two_fork_joins():
+        """Two fork-joins in a row: ``g1``/``g2`` and ``h1``/``h2`` are
+        ready together whenever a tick changes ``in0``."""
+        pipeline = DecisionPipeline("placement")
+        for layer, name, reads, writes in [
+                ("data", "load", ("in0", "in1"), ("l",)),
+                ("governance", "g1", ("l",), ("a",)),
+                ("governance", "g2", ("l",), ("b", "b2")),
+                ("analytics", "join", ("a", "b"), ("j",)),
+                ("decision", "h1", ("j",), ("h1",)),
+                ("decision", "h2", ("j", "in1"), ("h2",))]:
+            pipeline.add_stage(
+                layer, name,
+                functools.partial(df_stage, reads=frozenset(reads),
+                                  writes=frozenset(writes)),
+                reads=reads, writes=writes)
+        return pipeline
+
+    def test_forty_thread_ticks_match_serial(self, monkeypatch):
+        from repro.core import scheduler
+
+        rng = random.Random(41)
+        ticks = [{"in0": rng.randint(0, 10 ** 6),
+                  "in1": rng.randint(0, 3)} for _ in range(40)]
+        serial = self.two_fork_joins().stream(executor="serial")
+        expected = [fingerprint(serial.tick(changed=changed)[0])
+                    for changed in ticks]
+
+        # Scripted readings: the forked stages read as a busy pair for
+        # ten ticks, then as waiting for ten, and so on, so placement
+        # goes to the calling thread and back twice.
+        phase = {"busy": True}
+        monkeypatch.setattr(
+            scheduler, "_reading",
+            lambda name, cpu, wall: (
+                (0.5 if phase["busy"] else 0.05, 1.0)
+                if name[0] in "gh" else (cpu, wall)))
+        pipeline = self.two_fork_joins()
+        session = pipeline.stream(executor="thread")
+        placed = []
+        for number, changed in enumerate(ticks):
+            phase["busy"] = number // 10 % 2 == 0
+            state, _ = session.tick(changed=changed)
+            assert fingerprint(state) == expected[number], number
+            placed.append(len(pipeline._placement))
+        assert placed[:10] == [4] * 10
+        assert placed[10:20] == [0] * 10
+        assert placed[20:30] == [4] * 10
+
+
 class TestPropertyDifferential:
     """Hypothesis sweep over the same harness (serial, bounded)."""
 
